@@ -23,7 +23,7 @@ from .errors import PsaeError
 from .model import ModelConfig, TrainHyper, train
 from .pipeline import sequence_from_midi_bytes, sequence_from_midi_path
 from .quantize import GridUnit
-from .scoring import EvalReport, evaluate_manifest, note_probabilities, score_sequence
+from .scoring import EvalReport, evaluate_manifest, excerpt_score, note_probabilities
 
 MIDI_SUFFIXES = (".mid", ".midi")
 
@@ -189,12 +189,12 @@ def cmd_score(model_path: str, midi_path: str, per_note: bool = False,
               seed: int = 0) -> int:
     checkpoint = load_checkpoint(model_path)
     seq = sequence_from_midi_path(midi_path, seed=seed)
-    score = score_sequence(checkpoint, seq)
+    probs = note_probabilities(checkpoint, seq)
+    score = excerpt_score(seq, probs)
     print(f"path={midi_path} notes={score.n_notes} "
           f"ai_probability={score.ai_probability:.6f} "
           f"human_probability={score.human_probability:.6f}")
     if per_note:
-        probs = note_probabilities(checkpoint, seq)
         for pos, p in zip(probs.positions, probs.probabilities):
             print(f"note position={int(pos)} probability={p:.6f}")
     return 0

@@ -154,28 +154,95 @@ def init_model(config: ModelConfig, rng: np.random.Generator | int) -> ModelPara
     return ModelParams(config, tensors)
 
 
-def _encoder_block(config: ModelConfig, t: dict[str, nn.Tensor], x: nn.Tensor,
-                   pad_mask: np.ndarray | None) -> nn.Tensor:
-    b, l, d = x.shape
+def _split_heads(config: ModelConfig, y: nn.Tensor) -> nn.Tensor:
+    """[batch, length, d] -> [batch, heads, length, d / heads]."""
+    b, l, d = y.shape
     heads = config.num_heads
+    return nn.swap_axes(nn.reshape(y, (b, l, heads, d // heads)), 1, 2)
 
-    def split_heads(y: nn.Tensor) -> nn.Tensor:
-        return nn.swap_axes(nn.reshape(y, (b, l, heads, d // heads)), 1, 2)
 
-    h = nn.layer_norm(x, t["norm_attn_gain"], t["norm_attn_bias"])
-    q = nn.add_bias(nn.matmul(h, t["attn_q_weight"]), t["attn_q_bias"])
-    k = nn.add_bias(nn.matmul(h, t["attn_k_weight"]), t["attn_k_bias"])
-    v = nn.add_bias(nn.matmul(h, t["attn_v_weight"]), t["attn_v_bias"])
-    attn = nn.scaled_dot_product_attention(split_heads(q), split_heads(k),
-                                           split_heads(v), pad_mask)
-    attn = nn.reshape(nn.swap_axes(attn, 1, 2), (b, l, d))
-    attn = nn.add_bias(nn.matmul(attn, t["attn_out_weight"]), t["attn_out_bias"])
-    x = nn.add(x, attn)
+def _merge_heads(y: nn.Tensor) -> nn.Tensor:
+    """[batch, heads, length, head_dim] -> [batch, length, heads * head_dim]."""
+    b, heads, l, head_dim = y.shape
+    return nn.reshape(nn.swap_axes(y, 1, 2), (b, l, heads * head_dim))
 
+
+def _rows(x: nn.Tensor, positions: np.ndarray) -> nn.Tensor:
+    """Rows positions[b, n] of each batch row of x: [batch, n, d]."""
+    b, n = positions.shape
+    batch_idx = np.repeat(np.arange(b), n)
+    picked = nn.gather_positions(x, batch_idx, positions.reshape(-1))
+    return nn.reshape(picked, (b, n, x.shape[-1]))
+
+
+def _embed(t: dict[str, nn.Tensor], tokens: np.ndarray) -> nn.Tensor:
+    return nn.add(nn.embedding_lookup(t["token_embedding"], tokens),
+                  nn.embedding_lookup(t["position_embedding"], np.arange(tokens.shape[1])))
+
+
+def _project(t: dict[str, nn.Tensor], h: nn.Tensor, name: str) -> nn.Tensor:
+    """One attention projection: name is q, k, v or out."""
+    return nn.add_bias(nn.matmul(h, t[f"attn_{name}_weight"]), t[f"attn_{name}_bias"])
+
+
+def _attention_norm(t: dict[str, nn.Tensor], x: nn.Tensor) -> nn.Tensor:
+    return nn.layer_norm(x, t["norm_attn_gain"], t["norm_attn_bias"])
+
+
+def _attention_residual(t: dict[str, nn.Tensor], x: nn.Tensor, attn: nn.Tensor) -> nn.Tensor:
+    """x + out-projection of the merged-head attention output."""
+    return nn.add(x, _project(t, attn, "out"))
+
+
+def _attention_sublayer(config: ModelConfig, t: dict[str, nn.Tensor], x: nn.Tensor,
+                        pad_mask: np.ndarray | None,
+                        query_positions: np.ndarray | None = None) -> nn.Tensor:
+    """Pre-norm self-attention plus residual over x [batch, length, d].
+
+    With query_positions ([batch, n] ints) only those rows query: keys and
+    values still cover every row, and the output is [batch, n, d].
+    """
+    h = _attention_norm(t, x)
+    if query_positions is not None:
+        x = _rows(x, query_positions)
+    q = _project(t, h if query_positions is None else _rows(h, query_positions), "q")
+    k = _project(t, h, "k")
+    v = _project(t, h, "v")
+    attn = nn.scaled_dot_product_attention(_split_heads(config, q), _split_heads(config, k),
+                                           _split_heads(config, v), pad_mask)
+    return _attention_residual(t, x, _merge_heads(attn))
+
+
+def _ffn_sublayer(t: dict[str, nn.Tensor], x: nn.Tensor) -> nn.Tensor:
+    """Pre-norm position-wise feed-forward plus residual."""
     h = nn.layer_norm(x, t["norm_ffn_gain"], t["norm_ffn_bias"])
     f = nn.gelu(nn.add_bias(nn.matmul(h, t["ffn_in_weight"]), t["ffn_in_bias"]))
     f = nn.add_bias(nn.matmul(f, t["ffn_out_weight"]), t["ffn_out_bias"])
     return nn.add(x, f)
+
+
+def _encoder_block(config: ModelConfig, t: dict[str, nn.Tensor], x: nn.Tensor,
+                   pad_mask: np.ndarray | None,
+                   query_positions: np.ndarray | None = None) -> nn.Tensor:
+    return _ffn_sublayer(t, _attention_sublayer(config, t, x, pad_mask, query_positions))
+
+
+def _head(t: dict[str, nn.Tensor], x: nn.Tensor) -> nn.Tensor:
+    h = nn.layer_norm(x, t["head_norm_gain"], t["head_norm_bias"])
+    return nn.add_bias(nn.matmul(h, t["head_weight"]), t["head_bias"])
+
+
+def check_tokens(config: ModelConfig, tokens: np.ndarray) -> None:
+    """Reject a token batch the model cannot embed."""
+    if tokens.ndim != 2:
+        raise nn.ShapeMismatch(f"input_tokens must be [batch, length], got {tokens.shape}")
+    _, length = tokens.shape
+    if length > config.max_position:
+        raise SequenceTooLong(f"length {length} exceeds max_position {config.max_position}")
+    if tokens.min() < 0 or tokens.max() >= config.vocab_size:
+        raise UnknownToken(
+            f"token ids must lie in [0, {config.vocab_size}), got "
+            f"[{tokens.min()}, {tokens.max()}]")
 
 
 def forward(params: ModelParams, input_tokens: np.ndarray,
@@ -187,22 +254,12 @@ def forward(params: ModelParams, input_tokens: np.ndarray,
     """
     config = params.config
     tokens = np.asarray(input_tokens)
-    if tokens.ndim != 2:
-        raise nn.ShapeMismatch(f"input_tokens must be [batch, length], got {tokens.shape}")
-    _, length = tokens.shape
-    if length > config.max_position:
-        raise SequenceTooLong(f"length {length} exceeds max_position {config.max_position}")
-    if tokens.min() < 0 or tokens.max() >= config.vocab_size:
-        raise UnknownToken(
-            f"token ids must lie in [0, {config.vocab_size}), got "
-            f"[{tokens.min()}, {tokens.max()}]")
+    check_tokens(config, tokens)
     t = params.tensors
-    x = nn.add(nn.embedding_lookup(t["token_embedding"], tokens),
-               nn.embedding_lookup(t["position_embedding"], np.arange(length)))
+    x = _embed(t, tokens)
     for _ in range(config.num_layers):
         x = _encoder_block(config, t, x, pad_mask)
-    h = nn.layer_norm(x, t["head_norm_gain"], t["head_norm_bias"])
-    return nn.add_bias(nn.matmul(h, t["head_weight"]), t["head_bias"])
+    return _head(t, x)
 
 
 @dataclass

@@ -14,11 +14,22 @@ from pathlib import Path
 
 import numpy as np
 
+from . import nn
 from .errors import PsaeError
-from .model import Checkpoint, ModelParams, forward
-from .quantize import PitchSequence, SequenceTooLong
+from .model import (Checkpoint, ModelConfig, ModelParams, _attention_norm,
+                    _attention_residual, _embed, _encoder_block, _ffn_sublayer, _head,
+                    _project, _split_heads, check_tokens)
+from .model import forward  # noqa: F401  (perfbench/layers.py traces scoring.forward)
+from .quantize import PitchSequence
 
-_SCORING_CHUNK = 128  # single-mask variants evaluated per forward pass
+# Activation bytes one chunk of masked variants may hold; the chunk size
+# follows from it, the clip length and the widest per-position activation.
+_SCORING_BUDGET_MIB = 64
+# Live copies of the widest activation during a chunk (gelu's temporaries).
+_LIVE_COPIES = 6
+# A corrected first-layer softmax term exp(s - rowmax) above e**_EXP_LIMIT
+# is not trusted; that entry is recomputed exactly.
+_EXP_LIMIT = 80.0
 
 
 class NoScoreablePositions(PsaeError):
@@ -84,36 +95,149 @@ def _scoreable_positions(tokens: np.ndarray, n_classes: int,
     return groups
 
 
+def _chunk_size(config: ModelConfig, length: int, itemsize: int) -> int:
+    """Masked variants per chunk, so that a chunk's widest activation (the
+    FFN hidden layer, or the full attention matrix of a middle layer) fits
+    the budget."""
+    width = config.ffn_dim
+    if config.num_layers > 2:
+        width = max(width, config.num_heads * length)
+    per_variant = _LIVE_COPIES * itemsize * length * width
+    return max(1, (_SCORING_BUDGET_MIB << 20) // per_variant)
+
+
+class _FirstLayer:
+    """First-layer attention of the unmasked clip, kept in float64 so each
+    masked variant costs a rank-|S| correction instead of a new pass.
+
+    For every head and query i the base pass stores the row max m_i, the
+    softmax denominator D_i = sum_j exp(s_ij - m_i) and numerator
+    N_i = sum_j exp(s_ij - m_i) v_j. Masking the key set S replaces, in
+    both sums, the terms of each key j in S by those of the MASK key at j,
+    scaled by the same stored max (the online-softmax rescaling, here for
+    changed keys). Masked queries are recomputed exactly, and so is any
+    entry whose removed terms held more than half of D_i (the subtraction
+    would cancel) or whose new term exceeds e**_EXP_LIMIT.
+    """
+
+    def __init__(self, config: ModelConfig, t: dict[str, nn.Tensor],
+                 x: nn.Tensor, x_masked: nn.Tensor):
+        head_dim = config.hidden_dim // config.num_heads
+        scale = 1.0 / np.sqrt(head_dim)
+
+        def heads(x: nn.Tensor) -> list[np.ndarray]:
+            h = _attention_norm(t, x)
+            return [_split_heads(config, _project(t, h, name)).data[0].astype(np.float64)
+                    for name in ("q", "k", "v")]
+
+        self.q, self.k, self.v = heads(x)                  # [heads, L, head_dim]
+        self.q_m, self.k_m, self.v_m = heads(x_masked)     # MASK at every position
+        self.q *= scale
+        self.q_m *= scale
+        scores = self.q @ np.swapaxes(self.k, 1, 2)
+        row_max = scores.max(axis=-1, keepdims=True)
+        self.e_old = np.exp(scores - row_max)
+        self.denom = self.e_old.sum(axis=-1)
+        self.numer = self.e_old @ self.v
+        shift = self.q @ np.swapaxes(self.k_m, 1, 2) - row_max
+        self.overflow = shift > _EXP_LIMIT
+        self.e_new = np.exp(np.minimum(shift, _EXP_LIMIT))
+
+    def attention(self, idx: np.ndarray, valid: np.ndarray) -> np.ndarray:
+        """Merged-head attention output [variants, L, d] when variant b
+        masks the positions idx[b, valid[b]]."""
+        n_var = len(idx)
+        n_heads, length, head_dim = self.q.shape
+        weight = valid.astype(np.float64)
+        old = self.e_old[:, :, idx] * weight             # [heads, L, variants, k]
+        new = self.e_new[:, :, idx] * weight
+        removed = old.sum(axis=-1)
+        denom = self.denom[:, :, None] - removed + new.sum(axis=-1)
+        numer = (self.numer[:, :, None, :]
+                 - np.einsum("hlbk,hbkd->hlbd", old, self.v[:, idx])
+                 + np.einsum("hlbk,hbkd->hlbd", new, self.v_m[:, idx]))
+        exact = removed > 0.5 * self.denom[:, :, None]
+        exact |= (self.overflow[:, :, idx] & valid).any(axis=-1)
+        exact[:, idx, np.arange(n_var)[:, None]] = True  # masked queries
+        # elsewhere denom >= denom_base / 2 >= 1/2: the row max term is 1
+        out = np.divide(numer, denom[..., None], out=np.empty_like(numer),
+                        where=~exact[..., None])         # [heads, L, variants, head_dim]
+        heads, queries, variants = np.nonzero(exact)
+        out[heads, queries, variants] = self._exact(heads, queries, idx[variants],
+                                                     weight[variants])
+        return out.transpose(2, 1, 0, 3).reshape(n_var, length, n_heads * head_dim)
+
+    def _exact(self, heads: np.ndarray, queries: np.ndarray, masked: np.ndarray,
+               weight: np.ndarray) -> np.ndarray:
+        """Plain softmax attention for entry n: head heads[n], query
+        queries[n], MASK at the key positions masked[n] (weight 0 marks a
+        padding repeat)."""
+        is_masked = (masked == queries[:, None]).any(axis=-1)
+        q = np.where(is_masked[:, None], self.q_m[heads, queries], self.q[heads, queries])
+        out = np.empty_like(q)
+        for h in np.unique(heads):
+            sel = heads == h
+            qh, cols = q[sel], masked[sel]
+            rows = np.arange(len(qh))[:, None]
+            k_m, v_m = self.k_m[h][cols], self.v_m[h][cols]   # [n, k, head_dim]
+            s = qh @ self.k[h].T
+            s[rows, cols] = np.einsum("nd,nkd->nk", qh, k_m)
+            p = np.exp(s - s.max(axis=-1, keepdims=True))
+            p /= p.sum(axis=-1, keepdims=True)
+            p_masked = p[rows, cols] * weight[sel]
+            p[rows, cols] = 0.0
+            out[sel] = p @ self.v[h] + np.einsum("nk,nkd->nd", p_masked, v_m)
+        return out
+
+
 def note_probabilities(model: Checkpoint | ModelParams, seq: PitchSequence,
                        whole_notes: bool = False) -> NoteProbabilities:
-    """Successive masking: for each scoreable (non-REST) position, run the
-    model with only that position masked and record the softmax probability
-    of the ground-truth pitch. Variants are batched; results are identical
-    to one-at-a-time evaluation.
+    """Successive masking: for each scoreable (non-REST) position, the
+    softmax probability of the ground-truth pitch when only that position
+    is masked. Results match one-at-a-time model.forward within float
+    rounding.
 
     whole_notes masks every step of a sustained note together and averages
     within the note, scoring musical notes instead of grid steps.
+
+    The unmasked clip's first layer is computed once and corrected per
+    variant (see _FirstLayer); later layers run in full, except the last,
+    which queries only the masked positions. Variants run in chunks sized
+    by _chunk_size. Scoring reads the parameters' data only: it records no
+    graph and leaves every .grad and requires_grad flag as it was.
     """
     params = _params_of(model)
     config = params.config
     tokens = np.asarray(seq.tokens, dtype=np.int64)
-    if len(tokens) > config.max_position:
-        raise SequenceTooLong(
-            f"sequence length {len(tokens)} exceeds max_position {config.max_position}")
+    check_tokens(config, tokens[None])
     groups = _scoreable_positions(tokens, config.output_classes, whole_notes)
     if len(groups) < 2:
         raise NoScoreablePositions(
             f"{seq.source_id or 'sequence'} has {len(groups)} scoreable positions; need >= 2")
+    t = {name: nn.Tensor(p.data) for name, p in params.tensors.items()}
+    x_base = _embed(t, tokens[None])
+    x_masked = _embed(t, np.full((1, len(tokens)), config.mask_id))
+    first = _FirstLayer(config, t, x_base, x_masked) if config.num_layers > 1 else None
+    chunk = _chunk_size(config, len(tokens), x_base.data.itemsize)
     probs = np.empty(len(groups))
-    for start in range(0, len(groups), _SCORING_CHUNK):
-        chunk = groups[start:start + _SCORING_CHUNK]
-        batch = np.tile(tokens, (len(chunk), 1))
-        for row, positions in enumerate(chunk):
-            batch[row, positions] = config.mask_id
-        logits = forward(params, batch).data
-        for row, positions in enumerate(chunk):
-            p = _softmax_rows(logits[row, positions])
-            probs[start + row] = p[np.arange(len(positions)), tokens[positions]].mean()
+    for start in range(0, len(groups), chunk):
+        part = groups[start:start + chunk]
+        width = max(len(g) for g in part)
+        idx = np.stack([np.resize(g, width) for g in part])   # pad by repeating
+        valid = np.arange(width) < np.array([len(g) for g in part])[:, None]
+        rows = np.arange(len(part))[:, None]
+        x = np.repeat(x_base.data, len(part), axis=0)
+        x[rows, idx] = x_masked.data[0, idx]
+        x = nn.Tensor(x)
+        if first is not None:
+            attn = nn.Tensor(first.attention(idx, valid).astype(x.dtype))
+            x = _ffn_sublayer(t, _attention_residual(t, x, attn))
+            for _ in range(config.num_layers - 2):
+                x = _encoder_block(config, t, x, None)
+        x = _encoder_block(config, t, x, None, query_positions=idx)
+        p = _softmax_rows(_head(t, x).data)
+        p_true = np.take_along_axis(p, tokens[idx][..., None], axis=-1)[..., 0]
+        probs[start:start + len(part)] = (p_true * valid).sum(axis=1) / valid.sum(axis=1)
     first_steps = np.array([int(g[0]) for g in groups])
     return NoteProbabilities(probabilities=probs, positions=first_steps)
 
@@ -125,12 +249,15 @@ def ai_probability(note_probs: NoteProbabilities) -> float:
     return float(np.mean(note_probs.probabilities))
 
 
-def score_sequence(model: Checkpoint | ModelParams, seq: PitchSequence,
-                   whole_notes: bool = False) -> ExcerptScore:
-    note_probs = note_probabilities(model, seq, whole_notes)
+def excerpt_score(seq: PitchSequence, note_probs: NoteProbabilities) -> ExcerptScore:
     return ExcerptScore(source_id=seq.source_id,
                         ai_probability=ai_probability(note_probs),
                         n_notes=len(note_probs))
+
+
+def score_sequence(model: Checkpoint | ModelParams, seq: PitchSequence,
+                   whole_notes: bool = False) -> ExcerptScore:
+    return excerpt_score(seq, note_probabilities(model, seq, whole_notes))
 
 
 def compute_auc(scores, labels) -> float:
@@ -145,17 +272,9 @@ def compute_auc(scores, labels) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClassOnly(f"need both classes, got {n_pos} positive / {n_neg} negative")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average of 1-based ranks
-        i = j + 1
-    rank_sum = ranks[positive].sum()
+    _, tie_group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    average_rank = np.cumsum(counts) - (counts - 1) / 2.0  # mean 1-based rank per tie group
+    rank_sum = average_rank[tie_group][positive].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

@@ -1,14 +1,18 @@
 """Per-note masked probabilities, score averaging, AUC, manifests."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from psae import model
+from psae import model, scoring
 from psae.quantize import REST_ID, GridUnit, PitchSequence, SequenceTooLong
 from psae.scoring import (ExcerptScore, ManifestMalformed, ManifestRow,
                           NoScoreablePositions, NoteProbabilities, SingleClassOnly,
                           ai_probability, compute_auc, evaluate_manifest,
-                          note_probabilities, read_manifest, score_sequence)
+                          _scoreable_positions, note_probabilities, read_manifest,
+                          score_sequence)
 
 MINI = model.ModelConfig(vocab_size=12, embed_dim=8, hidden_dim=8, num_layers=2,
                          num_heads=2, ffn_dim=16, max_position=64, output_classes=9)
@@ -54,6 +58,123 @@ def test_batched_equals_sequential_masking(mini_params):
         e = np.exp(logits - logits.max())
         p = (e / e.sum())[tokens[position]]
         assert abs(p - batched.probabilities[i]) < 1e-6
+
+
+def one_at_a_time(params, seq, whole_notes=False):
+    """The oracle: one model.forward per masked group, mean true-pitch
+    probability over the group."""
+    tokens = np.asarray(seq.tokens, dtype=np.int64)
+    out = []
+    for positions in _scoreable_positions(tokens, params.config.output_classes, whole_notes):
+        single = tokens[None, :].copy()
+        single[0, positions] = params.config.mask_id
+        logits = model.forward(params, single).data[0, positions].astype(np.float64)
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        out.append(p[np.arange(len(positions)), tokens[positions]].mean())
+    return np.array(out)
+
+
+def assert_matches_one_at_a_time(params, seq, whole_notes=False):
+    got = note_probabilities(params, seq, whole_notes).probabilities
+    np.testing.assert_allclose(got, one_at_a_time(params, seq, whole_notes), rtol=0, atol=1e-6)
+
+
+def sustained_notes(rng, length):
+    """MINI tokens in runs of 1-5 equal pitches with a few rests:
+    whole-note groups of several steps."""
+    tokens = []
+    while len(tokens) < length:
+        pitch = int(rng.integers(0, 9)) if rng.random() > 0.15 else MINI.rest_id
+        tokens += [pitch] * int(rng.integers(1, 6))
+    return mini_seq(tokens[:length])
+
+
+def test_whole_note_groups_match_one_at_a_time(mini_params):
+    rng = np.random.default_rng(13)
+    for _ in range(6):
+        seq = sustained_notes(rng, int(rng.integers(10, 40)))
+        assert_matches_one_at_a_time(mini_params, seq, whole_notes=True)
+        assert_matches_one_at_a_time(mini_params, seq)
+
+
+@pytest.mark.parametrize("num_layers", [1, 3])
+def test_depths_match_one_at_a_time(num_layers):
+    params = model.init_model(replace(MINI, num_layers=num_layers), 14)
+    rng = np.random.default_rng(15)
+    for _ in range(4):
+        seq = sustained_notes(rng, int(rng.integers(10, 40)))
+        assert_matches_one_at_a_time(params, seq)
+        assert_matches_one_at_a_time(params, seq, whole_notes=True)
+
+
+def test_float64_params_match_one_at_a_time(mini_params):
+    params = mini_params.cast(np.float64)
+    rng = np.random.default_rng(16)
+    seq = sustained_notes(rng, 30)
+    assert_matches_one_at_a_time(params, seq)
+    assert_matches_one_at_a_time(params, seq, whole_notes=True)
+
+
+def test_near_one_hot_attention_takes_exact_fallback(monkeypatch):
+    """Scaled-up q/k weights make one key carry almost all of a query's
+    attention, so masking it must take the exact recompute: the corrected
+    sums would cancel to rounding noise (errors near 1e-4 at this scale).
+    Some MASK keys here also outscore a query's row max by more than
+    _EXP_LIMIT, which must be recomputed too (errors near 2e-5)."""
+    params = model.init_model(MINI, 17)
+    for name in ("attn_q_weight", "attn_k_weight"):
+        params.tensors[name].data *= np.float32(300.0)
+    fallbacks = []
+    exact = scoring._FirstLayer._exact
+
+    def counting(self, heads, queries, masked, weight):
+        fallbacks.append(int((masked != queries[:, None]).all(axis=-1).sum()))
+        return exact(self, heads, queries, masked, weight)
+
+    monkeypatch.setattr(scoring._FirstLayer, "_exact", counting)
+    rng = np.random.default_rng(20)
+    for _ in range(4):
+        seq = sustained_notes(rng, 40)
+        assert_matches_one_at_a_time(params, seq)
+        assert_matches_one_at_a_time(params, seq, whole_notes=True)
+    assert sum(fallbacks) > 0
+
+
+def test_max_length_clip_is_exact_and_bounded():
+    params = model.init_model(model.ModelConfig(), 19)
+    for name, t in params.tensors.items():
+        if name.endswith("_weight") or name.endswith("_embedding"):
+            t.data *= np.float32(10.0)
+    rng = np.random.default_rng(20)
+    length = params.config.max_position
+    seq = PitchSequence(tokens=rng.integers(40, 90, size=length).astype(np.int16),
+                        grid=GridUnit.SIXTEENTH, source_id="long")
+    tracemalloc.start()
+    try:
+        got = note_probabilities(params, seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+    tokens = np.asarray(seq.tokens, dtype=np.int64)
+    for i in rng.choice(length, size=16, replace=False):
+        single = tokens[None, :].copy()
+        single[0, i] = params.config.mask_id
+        z = model.forward(params, single).data[0, i].astype(np.float64)
+        e = np.exp(z - z.max())
+        assert abs((e / e.sum())[tokens[i]] - got.probabilities[i]) < 1e-6
+
+
+def test_scoring_leaves_params_untouched(mini_params):
+    params = mini_params.cast(np.float32)
+    params.tensors["head_bias"].requires_grad = False
+    flags = {name: t.requires_grad for name, t in params.tensors.items()}
+    before = {name: t.data.copy() for name, t in params.tensors.items()}
+    note_probabilities(params, mini_seq(np.arange(20) % 9))
+    for name, t in params.tensors.items():
+        assert t.grad is None and t.requires_grad == flags[name]
+        assert (t.data == before[name]).all()
 
 
 def test_untrained_model_predicts_near_uniform():
