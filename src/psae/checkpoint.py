@@ -75,7 +75,10 @@ class _Reader:
         length = self.u32()
         if length > 4096:
             raise CheckpointFormatError(f"implausible name length {length}")
-        return self.take(length).decode()
+        try:
+            return self.take(length).decode()
+        except UnicodeDecodeError:
+            raise CheckpointFormatError("name is not valid UTF-8")
 
 
 def load_checkpoint_bytes(data: bytes) -> Checkpoint:
@@ -100,6 +103,7 @@ def load_checkpoint_bytes(data: bytes) -> Checkpoint:
         missing = sorted(known - set(config_values))
         raise CheckpointFormatError(f"config fields missing: {missing}")
     config = ModelConfig(**config_values)
+    config.validate()
 
     tensors: dict[str, nn.Tensor] = {}
     while reader.pos < reader.limit:

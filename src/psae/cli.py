@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .augment import AugmentPolicy, expand_sequence_detailed
 from .checkpoint import load_checkpoint, save_checkpoint_bytes
-from .corpus import TOKENS_SUFFIX, read_corpus_dir, read_corpus_file, write_corpus_file
+from .corpus import TOKENS_SUFFIX, format_corpus, read_corpus_dir, read_corpus_file
 from .errors import PsaeError
 from .model import ModelConfig, TrainHyper, train
 from .pipeline import sequence_from_midi_bytes, sequence_from_midi_path
@@ -57,8 +57,9 @@ def _merge_section(name: str, defaults: dict, overrides: dict) -> dict:
 
 
 def load_run_config(path: str | Path | None) -> dict:
-    """Validated run configuration: sections seed / model / train / augment
-    merged over built-in defaults. Unknown keys are rejected everywhere."""
+    """Validated run configuration: sections seed / model / train merged
+    over the ModelConfig and TrainHyper defaults. Unknown keys are rejected
+    everywhere."""
     raw = {}
     if path is not None:
         try:
@@ -67,20 +68,16 @@ def load_run_config(path: str | Path | None) -> dict:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}")
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
-    unknown = set(raw) - {"seed", "model", "train", "augment"}
+    unknown = set(raw) - {"seed", "model", "train"}
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
     model_defaults = dataclasses.asdict(ModelConfig())
-    train_defaults = {"epochs": None, "batch_size": 64, "learning_rate": 1e-3,
-                      "flood_b": 0.05, "mask_rate": 0.15, "mask_strategy": "mask",
-                      "weight_decay": 0.01}
-    augment_defaults = {"transpositions_per_seq": 31, "truncated_per_seq": 16,
-                        "truncation_min": 1, "truncation_max": 100}
+    train_defaults = {f.name: None if f.name == "epochs" else f.default
+                      for f in dataclasses.fields(TrainHyper) if f.name != "seed"}
     return {
         "seed": raw.get("seed"),
         "model": _merge_section("model", model_defaults, raw.get("model", {})),
         "train": _merge_section("train", train_defaults, raw.get("train", {})),
-        "augment": _merge_section("augment", augment_defaults, raw.get("augment", {})),
     }
 
 
@@ -104,7 +101,7 @@ def cmd_preprocess(input_dir: str, output_dir: str, seed: int = 0) -> int:
             errors.append((path.name, f"{type(exc).__name__}: {exc}"))
             continue
         _atomic_write(out_dir / f"{path.stem}{TOKENS_SUFFIX}",
-                      _corpus_text([seq]))
+                      format_corpus([seq]))
         grid_histogram[seq.grid] += 1
         written += 1
     summary = [f"inputs={len(files)}", f"written={written}", f"errors={len(errors)}"]
@@ -115,11 +112,6 @@ def cmd_preprocess(input_dir: str, output_dir: str, seed: int = 0) -> int:
     if errors:
         print(f"skipped {len(errors)} file(s); see preprocess_summary.txt", file=sys.stderr)
     return 0
-
-
-def _corpus_text(sequences) -> str:
-    from .corpus import format_sequence
-    return "".join(format_sequence(s) + "\n" for s in sequences)
 
 
 def cmd_augment(input_dir: str, output_dir: str, policy: AugmentPolicy) -> int:
@@ -140,7 +132,7 @@ def cmd_augment(input_dir: str, output_dir: str, policy: AugmentPolicy) -> int:
                     variant.sequence.source_id, variant.source_id,
                     str(variant.shift),
                     "" if variant.truncation is None else str(variant.truncation))))
-        _atomic_write(out_dir / path.name, _corpus_text(expanded))
+        _atomic_write(out_dir / path.name, format_corpus(expanded))
         total += len(expanded)
     _atomic_write(out_dir / "augment_manifest.tsv", "\n".join(manifest) + "\n")
     print(f"inputs={len(files)} variants={total}")
@@ -227,11 +219,14 @@ def parse_report_kv(text: str) -> dict:
         if not line.strip():
             continue
         if line.startswith("group "):
-            kv = dict(item.split("=", 1) for item in line[len("group "):].split(" "))
+            # key= never holds a space and auc=/n= are last, so value= may hold spaces
+            head, auc, n = line[len("group "):].rsplit(" ", 2)
+            kv = dict(item.split("=", 1) for item in (*head.split(" ", 1), auc, n))
             auc = None if kv["auc"] == "n/a" else float(kv["auc"])
             out["groups"].setdefault(kv["key"], {})[kv["value"]] = (auc, int(kv["n"]))
         elif line.startswith("excerpt "):
-            kv = dict(item.split("=", 1) for item in line[len("excerpt "):].split(" "))
+            # every field after path= is space-free, so path= may hold spaces
+            kv = dict(item.split("=", 1) for item in line[len("excerpt "):].rsplit(" ", 4))
             out["excerpts"].append({"path": kv["path"], "label": kv["label"],
                                     "ai_probability": float(kv["ai_probability"]),
                                     "human_probability": float(kv["human_probability"]),
@@ -295,10 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("augment", help="expand a token corpus")
     p.add_argument("--in", dest="input_dir", required=True)
     p.add_argument("--out", dest="output_dir", required=True)
-    p.add_argument("--transpositions", type=int, default=31)
-    p.add_argument("--truncated", type=int, default=16)
-    p.add_argument("--trunc-min", type=int, default=1)
-    p.add_argument("--trunc-max", type=int, default=100)
+    p.add_argument("--transpositions", type=int, default=AugmentPolicy.transpositions_per_seq)
+    p.add_argument("--truncated", type=int, default=AugmentPolicy.truncated_per_seq)
+    p.add_argument("--trunc-min", type=int, default=AugmentPolicy.truncation_min)
+    p.add_argument("--trunc-max", type=int, default=AugmentPolicy.truncation_max)
     p.add_argument("--seed", type=int, required=True)
 
     p = sub.add_parser("train", help="train the masked pitch model")

@@ -39,13 +39,17 @@ def parse_sequence_line(line: str) -> PitchSequence:
     try:
         tokens = np.array([int(t) for t in ids.split()], dtype=np.int16)
         return PitchSequence(tokens=tokens, grid=grid, source_id=source_id)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise CorpusFormatError(f"bad token list for {source_id!r}: {exc}")
 
 
+def format_corpus(sequences) -> str:
+    """Corpus file text: one formatted line per sequence, each ending in a newline."""
+    return "".join(format_sequence(s) + "\n" for s in sequences)
+
+
 def write_corpus_file(path: str | Path, sequences: list[PitchSequence]) -> None:
-    text = "".join(format_sequence(s) + "\n" for s in sequences)
-    Path(path).write_text(text, encoding="utf-8")
+    Path(path).write_text(format_corpus(sequences), encoding="utf-8")
 
 
 def read_corpus_file(path: str | Path) -> list[PitchSequence]:

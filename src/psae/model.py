@@ -11,13 +11,13 @@ softmax cross-entropy, and runs the result through the flooding transform
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import nn
 from .errors import PsaeError
-from .quantize import SequenceTooLong
+from .quantize import MAX_SEQ_LEN, PITCH_CLASSES, SequenceTooLong
 
 IGNORE_TARGET = -1
 
@@ -48,14 +48,14 @@ class ModelConfig:
     that id order; only the pitch classes are ever predicted.
     """
 
-    vocab_size: int = 131
+    vocab_size: int = PITCH_CLASSES + 3
     embed_dim: int = 64
     hidden_dim: int = 64
     num_layers: int = 2
     num_heads: int = 4
     ffn_dim: int = 352
-    max_position: int = 384
-    output_classes: int = 128
+    max_position: int = MAX_SEQ_LEN
+    output_classes: int = PITCH_CLASSES
 
     @property
     def rest_id(self) -> int:
@@ -407,7 +407,3 @@ def train(corpus, config: ModelConfig, hyper: TrainHyper,
         "history": history,
     }
     return Checkpoint(params=params, metadata=metadata)
-
-
-def default_config(**overrides) -> ModelConfig:
-    return replace(ModelConfig(), **overrides)

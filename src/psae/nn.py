@@ -150,19 +150,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _unbroadcast_batch(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Like _unbroadcast but only over the batch prefix; the trailing two
-    (matrix) axes are guaranteed to match already."""
-    batch = shape[:-2]
-    extra = (g.ndim - 2) - len(batch)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(batch) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     try:
         data = a.data + b.data
@@ -217,10 +204,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accumulate(_unbroadcast_batch(ga, a.shape))
+            a._accumulate(_unbroadcast(ga, a.shape))
         if b.requires_grad:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accumulate(_unbroadcast_batch(gb, b.shape))
+            b._accumulate(_unbroadcast(gb, b.shape))
 
     return _make(data, (a, b), backward)
 
@@ -385,15 +372,12 @@ class AdamW:
     """Adam with bias correction and decoupled weight decay.
 
     Decay applies only to matrix-shaped parameters (ndim >= 2): weight
-    matrices and embeddings, never biases or layer-norm gains. Pass a
-    custom decay_filter(name, tensor) -> bool to override.
+    matrices and embeddings, never biases or layer-norm gains.
     """
 
     def __init__(self, params: dict[str, Tensor], learning_rate: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8,
-                 weight_decay: float = 0.01, decay_filter=None):
-        if decay_filter is None:
-            decay_filter = lambda name, p: p.ndim >= 2
+                 weight_decay: float = 0.01):
         self.params = dict(params)
         self.learning_rate = learning_rate
         self.beta1 = beta1
@@ -403,7 +387,7 @@ class AdamW:
         self.step_count = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-        self._decayed = {name: bool(decay_filter(name, p)) for name, p in self.params.items()}
+        self._decayed = {name: p.ndim >= 2 for name, p in self.params.items()}
 
     def step(self) -> None:
         """One in-place update over all parameters; missing grads count as zero."""

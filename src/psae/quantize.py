@@ -21,9 +21,6 @@ from .midi_ingest import NoteEvent
 
 PITCH_CLASSES = 128
 REST_ID = 128
-MASK_ID = 129
-PAD_ID = 130
-VOCAB_SIZE = 131
 MAX_SEQ_LEN = 384
 
 # Onset/duration matching absorbs encoder rounding up to 1/16 of a grid step.

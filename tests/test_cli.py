@@ -12,7 +12,7 @@ from psae.corpus import (CorpusFormatError, format_sequence, parse_sequence_line
                          read_corpus_dir, read_corpus_file)
 from psae.quantize import GridUnit, PitchSequence
 from psae.scoring import EvalReport, ManifestRow
-from helpers import notes, smf_bytes
+from helpers import notes, resealed, smf_bytes
 
 
 def write_midi_corpus(directory, count=4, tpq=480):
@@ -63,6 +63,8 @@ def test_corpus_parse_errors():
         parse_sequence_line("id\tbadgrid\t60 61")
     with pytest.raises(CorpusFormatError):
         parse_sequence_line("id\t16th\t60 sixty")
+    with pytest.raises(CorpusFormatError):
+        parse_sequence_line("a\t16th\t60 99999")
 
 
 # ------------------------------------------------------------- preprocess
@@ -243,6 +245,10 @@ def test_unknown_config_keys_rejected(tmp_path, capsys):
     assert main(["train", "--corpus", str(tmp_path), "--config", str(config),
                  "--out", str(tmp_path / "m"), "--epochs", "1"]) == 1
     assert "unknown top-level" in capsys.readouterr().err
+    config.write_text(json.dumps({"augment": {"truncation_max": 50}}), encoding="utf-8")
+    assert main(["train", "--corpus", str(tmp_path), "--config", str(config),
+                 "--out", str(tmp_path / "m"), "--epochs", "1"]) == 1
+    assert "unknown top-level" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ score
@@ -338,3 +344,40 @@ def test_render_parse_report_round_trip_exact():
     assert parsed["excerpts"][0]["ai_probability"] == 1 / 3  # %.17g is exact
     assert parsed["excerpts"][1]["human_probability"] == 1 - 2 / 3
     assert parsed["errors"] == [{"path": "c.mid", "message": "ParseError: nope"}]
+
+
+def test_parse_report_kv_keeps_spaces_in_paths_and_group_values():
+    from psae.scoring import ExcerptScore
+    rows = [ManifestRow("/data/my clips/a.mid", "human", {"style": "jazz fusion"}),
+            ManifestRow("/data/my clips/b b.mid", "ai", {"style": "jazz fusion"})]
+    scores = [(rows[0], ExcerptScore("a", 0.25, 12)), (rows[1], ExcerptScore("b", 0.75, 8))]
+    report = EvalReport(overall_auc=1.0, group_aucs={"style": {"jazz fusion": 1.0}},
+                        scores=scores, errors=[("/data/my clips/c.mid", "ParseError: no")])
+    parsed = parse_report_kv(render_report_kv(report))
+    assert parsed["groups"] == {"style": {"jazz fusion": (1.0, 2)}}
+    assert [e["path"] for e in parsed["excerpts"]] == [r.path for r in rows]
+    assert parsed["excerpts"][1] == {"path": "/data/my clips/b b.mid", "label": "ai",
+                                     "ai_probability": 0.75, "human_probability": 0.25,
+                                     "notes": 8}
+    assert parsed["errors"] == [{"path": "/data/my clips/c.mid", "message": "ParseError: no"}]
+
+
+def test_mangled_corpus_and_checkpoint_exit_one(tmp_path, capsys):
+    import struct
+    from psae.checkpoint import save_checkpoint_bytes
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.tokens").write_text("a\t16th\t60 99999\n", encoding="utf-8")
+    assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "m"),
+                 "--epochs", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    config = model.ModelConfig(**{**SMALL_MODEL, "num_layers": 1})
+    blob = save_checkpoint_bytes(model.Checkpoint(model.init_model(config, 0)))
+    bad_model = tmp_path / "bad.psae"
+    bad_model.write_bytes(resealed(blob, b"num_heads" + struct.pack("<q", 2),
+                                   b"num_heads" + struct.pack("<q", 3)))
+    midi_dir = tmp_path / "midi"
+    write_midi_corpus(midi_dir, count=1)
+    assert main(["score", "--model", str(bad_model),
+                 "--midi", str(midi_dir / "clip000.mid")]) == 1
+    assert capsys.readouterr().err.startswith("error:")

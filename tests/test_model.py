@@ -7,7 +7,7 @@ import pytest
 
 from psae import checkpoint as ckpt
 from psae import model, nn
-from helpers import max_fd_rel_err
+from helpers import max_fd_rel_err, resealed
 
 MINI = model.ModelConfig(vocab_size=12, embed_dim=8, hidden_dim=8, num_layers=2,
                          num_heads=2, ffn_dim=16, max_position=8, output_classes=9)
@@ -330,6 +330,22 @@ def test_checkpoint_rejects_garbage():
     sealed = truncated + struct.pack("<I", zlib.crc32(truncated))
     with pytest.raises(ckpt.CheckpointFormatError):
         ckpt.load_checkpoint_bytes(sealed)
+
+
+def test_checkpoint_rejects_invalid_config_with_valid_crc():
+    import struct
+    blob = ckpt.save_checkpoint_bytes(model.Checkpoint(model.init_model(MINI, 0)))
+    heads = b"num_heads" + struct.pack("<q", MINI.num_heads)
+    for bad in (0, 3):  # non-positive; does not divide hidden_dim = 8
+        with pytest.raises(model.InvalidConfig):
+            ckpt.load_checkpoint_bytes(
+                resealed(blob, heads, b"num_heads" + struct.pack("<q", bad)))
+
+
+def test_checkpoint_rejects_non_utf8_tensor_name():
+    blob = ckpt.save_checkpoint_bytes(model.Checkpoint(model.init_model(MINI, 0)))
+    with pytest.raises(ckpt.CheckpointFormatError):
+        ckpt.load_checkpoint_bytes(resealed(blob, b"token_embedding", b"\xffoken_embedding"))
 
 
 def test_checkpoint_file_round_trip(tmp_path):
