@@ -14,6 +14,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 from .augment import AugmentPolicy, expand_sequence_detailed
@@ -160,12 +161,19 @@ def cmd_train(corpus_dir: str, out_path: str, config_path: str | None = None,
     hyper = TrainHyper(seed=run["seed"], **run["train"])
     sequences = read_corpus_dir(corpus_dir)
     metrics_lines: list[str] = []
+    timing_lines: list[str] = []
+    epoch_start = time.perf_counter()
 
     def on_epoch(m: dict) -> None:
+        nonlocal epoch_start
+        now = time.perf_counter()
+        seconds, epoch_start = now - epoch_start, now
         line = (f"epoch={m['epoch']} raw_loss={m['raw_loss']:.6f} "
                 f"flooded_loss={m['flooded_loss']:.6f} "
                 f"masked_accuracy={m['masked_accuracy']:.6f}")
         metrics_lines.append(line)
+        timing_lines.append(f"epoch={m['epoch']} seconds={seconds:.3f} "
+                            f"rows_per_s={len(sequences) / max(seconds, 1e-9):.1f}")
         print(line)
 
     checkpoint = train(sequences, config, hyper, on_epoch=on_epoch)
@@ -173,6 +181,8 @@ def cmd_train(corpus_dir: str, out_path: str, config_path: str | None = None,
     out.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write(out, save_checkpoint_bytes(checkpoint))
     _atomic_write(out.with_name(out.name + ".metrics"), "\n".join(metrics_lines) + "\n")
+    # wall-clock numbers stay out of .metrics, which is byte-deterministic
+    _atomic_write(out.with_name(out.name + ".timing"), "\n".join(timing_lines) + "\n")
     print(f"checkpoint={out}")
     return 0
 

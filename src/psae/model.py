@@ -5,7 +5,9 @@ sharing), so doubling num_layers costs nothing. Blocks are pre-norm
 residual; the head projects every position onto the 128 pitch classes.
 Training masks a fraction of the pitch positions, scores them with
 softmax cross-entropy, and runs the result through the flooding transform
-|l - b| + b so the loss cannot be driven to zero.
+|l - b| + b so the loss cannot be driven to zero. Only the masked
+positions reach the loss, so training runs the last layer's queries and
+the head at those positions alone.
 """
 
 from __future__ import annotations
@@ -246,19 +248,35 @@ def check_tokens(config: ModelConfig, tokens: np.ndarray) -> None:
 
 
 def forward(params: ModelParams, input_tokens: np.ndarray,
-            pad_mask: np.ndarray | None = None) -> nn.Tensor:
+            pad_mask: np.ndarray | None = None,
+            query_positions: np.ndarray | None = None) -> nn.Tensor:
     """Token ids [batch, length] -> pitch logits [batch, length, classes].
 
     pad_mask (True at PAD) keeps padded keys out of attention; PAD
     positions still produce logits, callers just never read them.
+
+    With query_positions ([batch, n] ints) every layer but the last runs
+    in full, the last layer queries only those rows, and the logits are
+    [batch, n, classes]: logits[b, j] is the full forward's
+    logits[b, query_positions[b, j]].
     """
     config = params.config
     tokens = np.asarray(input_tokens)
     check_tokens(config, tokens)
+    if query_positions is not None:
+        query_positions = np.asarray(query_positions)
+        if (query_positions.ndim != 2 or query_positions.shape[0] != tokens.shape[0]
+                or query_positions.dtype.kind not in "iu"):
+            raise nn.ShapeMismatch(
+                f"query_positions must be [batch, n] ints, got {query_positions.shape}")
+        if query_positions.size and (query_positions.min() < 0
+                                     or query_positions.max() >= tokens.shape[1]):
+            raise nn.ShapeMismatch(f"query_positions outside [0, {tokens.shape[1]})")
     t = params.tensors
     x = _embed(t, tokens)
-    for _ in range(config.num_layers):
-        x = _encoder_block(config, t, x, pad_mask)
+    for layer in range(config.num_layers):
+        last = layer == config.num_layers - 1
+        x = _encoder_block(config, t, x, pad_mask, query_positions if last else None)
     return _head(t, x)
 
 
@@ -349,10 +367,26 @@ class Checkpoint:
         return self.params.config
 
 
+def _masked_queries(mask_positions: np.ndarray, b_idx: np.ndarray,
+                    p_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Query rows for the masked positions (b_idx, p_idx), row-major as
+    np.nonzero gives them: query[b] lists row b's masked positions in
+    ascending order, padded with 0 to the longest row, and (b_idx[i],
+    slot[i]) is where (b_idx[i], p_idx[i]) lands in the query output.
+    The padded slots are computed but never read."""
+    counts = mask_positions.sum(axis=1)
+    slot = np.arange(len(b_idx)) - np.repeat(np.cumsum(counts) - counts, counts)
+    query = np.zeros((mask_positions.shape[0], int(counts.max())), dtype=np.int64)
+    query[b_idx, slot] = p_idx
+    return query, slot
+
+
 def train(corpus, config: ModelConfig, hyper: TrainHyper,
           on_epoch=None) -> Checkpoint:
     """Full MLM loop: shuffle, mask, forward, cross-entropy over masked
     positions, flooding, backward, AdamW. Deterministic per hyper.seed.
+    The last layer and the head run only at the masked positions, the
+    only rows the loss reads.
 
     Per-epoch metrics (raw_loss, flooded_loss, masked_accuracy, all
     averaged over masked positions) go to metadata["history"] and to the
@@ -374,9 +408,10 @@ def train(corpus, config: ModelConfig, hyper: TrainHyper,
             batch_rows = [rows[i] for i in order[start:start + hyper.batch_size]]
             batch = make_mlm_batch(batch_rows, config, rng,
                                    rate=hyper.mask_rate, strategy=hyper.mask_strategy)
-            logits = forward(params, batch.input_tokens, batch.pad_mask)
             b_idx, p_idx = np.nonzero(batch.mask_positions)
-            masked_logits = nn.gather_positions(logits, b_idx, p_idx)
+            query, slot = _masked_queries(batch.mask_positions, b_idx, p_idx)
+            logits = forward(params, batch.input_tokens, batch.pad_mask, query)
+            masked_logits = nn.gather_positions(logits, b_idx, slot)
             masked_targets = batch.targets[b_idx, p_idx]
             raw = nn.softmax_cross_entropy(masked_logits, masked_targets)
             if not np.isfinite(raw.data):

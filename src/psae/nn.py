@@ -61,9 +61,12 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
+        # The first gradient is copied: backward closures may hand the same
+        # array to two parents (add) or a view of their own input (reshape).
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=self.data.dtype)
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Populate .grad on every ancestor that requires grad, then release
@@ -202,6 +205,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = np.matmul(a.data, b.data)
 
     def backward(g):
+        if b.ndim == 2:
+            # b is a weight: fold every leading axis of a into one GEMM
+            k, n = b.shape
+            g2 = g.reshape(-1, n)
+            if a.requires_grad:
+                a._accumulate((g2 @ b.data.T).reshape(a.shape))
+            if b.requires_grad:
+                b._accumulate(a.data.reshape(-1, k).T @ g2)
+            return
         if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
             a._accumulate(_unbroadcast(ga, a.shape))
@@ -318,26 +330,49 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
                                  padding_mask: np.ndarray | None = None) -> Tensor:
     """Softmax(q k^T / sqrt(d)) v over [batch, heads, length, head_dim].
 
-    padding_mask is a boolean [batch, length] array, True at PAD positions;
+    One graph node: the scale is folded into q, the mask bias and the
+    softmax run in place on the score matrix, and only the attention
+    weights are kept for backward. q may hold fewer rows than k and v
+    (only some positions query).
+
+    padding_mask is a boolean [batch, keys] array, True at PAD positions;
     masked keys get an additive -1e9 before softmax, which underflows to an
     exactly-zero attention weight.
     """
     if not (q.ndim == k.ndim == v.ndim == 4):
         raise ShapeMismatch(f"attention expects 4-d q/k/v, got {q.shape}/{k.shape}/{v.shape}")
-    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
+    if (q.shape[:2] != k.shape[:2] or k.shape[:2] != v.shape[:2]
+            or q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]):
         raise ShapeMismatch(f"attention: incompatible q/k/v {q.shape}/{k.shape}/{v.shape}")
-    head_dim = q.shape[-1]
-    scale = Tensor(np.asarray(1.0 / np.sqrt(head_dim), dtype=q.dtype))
-    scores = mul(matmul(q, swap_axes(k, -1, -2)), scale)
+    scale = q.dtype.type(1.0 / np.sqrt(q.shape[-1]))
+    qs = q.data * scale
+    p = np.matmul(qs, np.swapaxes(k.data, -1, -2))
     if padding_mask is not None:
         padding_mask = np.asarray(padding_mask, dtype=bool)
         if padding_mask.shape != (q.shape[0], k.shape[-2]):
             raise ShapeMismatch(
                 f"attention: padding_mask {padding_mask.shape} vs batch/keys "
                 f"({q.shape[0]}, {k.shape[-2]})")
-        bias = np.where(padding_mask, -1e9, 0.0).astype(q.dtype)
-        scores = add(scores, Tensor(bias[:, None, None, :]))
-    return matmul(softmax(scores), v)
+        p += np.where(padding_mask, -1e9, 0.0).astype(q.dtype)[:, None, None, :]
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    data = np.matmul(p, v.data)
+
+    def backward(g):
+        if v.requires_grad:
+            v._accumulate(np.matmul(np.swapaxes(p, -1, -2), g))
+        if q.requires_grad or k.requires_grad:
+            # softmax backward: p * (g v^T - rowsum), rowsum_i = g_i . out_i
+            gs = np.matmul(g, np.swapaxes(v.data, -1, -2))
+            gs -= (g * data).sum(axis=-1, keepdims=True)
+            gs *= p
+            if q.requires_grad:
+                q._accumulate(np.matmul(gs, k.data) * scale)
+            if k.requires_grad:
+                k._accumulate(np.matmul(np.swapaxes(gs, -1, -2), qs))
+
+    return _make(data, (q, k, v), backward)
 
 
 def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

@@ -64,11 +64,17 @@ class PitchSequence:
     source_id: str = ""
 
     def __post_init__(self):
-        self.tokens = np.asarray(self.tokens, dtype=np.int16)
-        if self.tokens.ndim != 1 or not 1 <= len(self.tokens) <= MAX_SEQ_LEN:
-            raise ValueError(f"token count {self.tokens.shape} outside 1..{MAX_SEQ_LEN}")
-        if self.tokens.min() < 0 or self.tokens.max() > REST_ID:
+        # Checked before the int16 cast, which would wrap 65596 to 60 and
+        # truncate 60.7 to 60 without a word.
+        tokens = np.asarray(self.tokens)
+        if tokens.ndim != 1 or not 1 <= len(tokens) <= MAX_SEQ_LEN:
+            raise ValueError(f"token count {tokens.shape} outside 1..{MAX_SEQ_LEN}")
+        if tokens.dtype.kind not in "biuf" or (tokens.dtype.kind == "f"
+                                              and not (tokens == np.round(tokens)).all()):
+            raise ValueError(f"tokens must be integers, got {tokens.dtype} values")
+        if tokens.min() < 0 or tokens.max() > REST_ID:
             raise ValueError("tokens must be pitch ids in [0, 127] or REST")
+        self.tokens = tokens.astype(np.int16, copy=False)
 
     def __len__(self) -> int:
         return len(self.tokens)

@@ -1,6 +1,7 @@
 """Command-line pipeline: formats, determinism, precedence, exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -166,6 +167,21 @@ def test_train_writes_checkpoint_and_metrics(tmp_path):
     assert len(metrics) == 2
     assert metrics[0].startswith("epoch=1 raw_loss=")
     assert "masked_accuracy=" in metrics[0]
+
+
+def test_train_writes_timing_apart_from_metrics(tmp_path):
+    model_path, _ = run_small_pipeline(tmp_path)
+    timing = model_path.with_name(model_path.name + ".timing").read_text().splitlines()
+    assert len(timing) == 2
+    for epoch, line in enumerate(timing, start=1):
+        fields = dict(kv.split("=", 1) for kv in line.split())
+        assert set(fields) == {"epoch", "seconds", "rows_per_s"}
+        assert int(fields["epoch"]) == epoch
+        assert float(fields["seconds"]) > 0 and float(fields["rows_per_s"]) > 0
+    metrics = model_path.with_name(model_path.name + ".metrics").read_text().splitlines()
+    for epoch, line in enumerate(metrics, start=1):
+        assert re.fullmatch(rf"epoch={epoch} raw_loss=\d+\.\d{{6}} flooded_loss=\d+\.\d{{6}} "
+                            r"masked_accuracy=\d\.\d{6}", line)
 
 
 def test_train_requires_epochs(tmp_path, capsys):

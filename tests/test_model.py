@@ -1,5 +1,6 @@
 """Encoder, MLM batching, flooding, training loop, checkpoint files."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -123,6 +124,51 @@ def test_forward_errors():
     from psae.quantize import SequenceTooLong
     with pytest.raises(SequenceTooLong):
         model.forward(params, np.zeros((1, MINI.max_position + 1), dtype=int))
+
+
+def test_forward_query_positions_errors():
+    params = model.init_model(MINI, 0)
+    tokens = np.zeros((2, 5), dtype=np.int64)
+    for bad in (np.zeros((3, 1), dtype=int), np.zeros(2, dtype=int),
+                np.full((2, 1), 5), np.full((2, 1), -1), np.zeros((2, 1))):
+        with pytest.raises(nn.ShapeMismatch):
+            model.forward(params, tokens, query_positions=bad)
+
+
+@pytest.mark.parametrize("num_layers", [1, 2, 3])
+def test_query_only_training_gradients_equal_full_logits(num_layers):
+    cfg = dataclasses.replace(MINI, num_layers=num_layers)
+    rng = np.random.default_rng(num_layers)
+    tokens = rng.integers(0, 9, size=(3, 8))
+    tokens[1, 5:] = cfg.pad_id
+    tokens[2, 7] = cfg.pad_id
+    pad = tokens == cfg.pad_id
+    masked = np.zeros_like(pad)
+    masked[0, [1, 4, 6]] = True      # unequal mask counts per row: 3, 1, 2
+    masked[1, 2] = True
+    masked[2, [0, 5]] = True
+    tokens[masked] = cfg.mask_id
+    targets = rng.integers(0, 9, size=int(masked.sum()))
+    b_idx, p_idx = np.nonzero(masked)
+    query, slot = model._masked_queries(masked, b_idx, p_idx)
+    assert query.tolist() == [[1, 4, 6], [2, 0, 0], [0, 5, 0]]
+
+    def run(query_positions, columns):
+        params = model.init_model(cfg, 7).cast(np.float64)
+        logits = model.forward(params, tokens, pad, query_positions)
+        raw = nn.softmax_cross_entropy(nn.gather_positions(logits, b_idx, columns), targets)
+        loss = model.flooded_loss(raw, 0.05)
+        loss.backward()
+        return loss.item(), {name: t.grad for name, t in params.tensors.items()}
+
+    full_loss, full_grads = run(None, p_idx)
+    query_loss, query_grads = run(query, slot)
+    assert query_loss == pytest.approx(full_loss, rel=1e-12)
+    assert full_grads.keys() == query_grads.keys()
+    for name, g in full_grads.items():
+        # attn_k_bias's true gradient is 0 (softmax ignores a shift), so both
+        # paths hold only rounding noise there: hence the small atol
+        np.testing.assert_allclose(query_grads[name], g, rtol=1e-9, atol=1e-15, err_msg=name)
 
 
 def test_shared_layer_is_single_parameter_set():

@@ -213,6 +213,57 @@ def test_gradient_attention_with_padding():
     assert max_fd_rel_err(loss, {"q": q, "k": k, "v": v}) < 1e-6
 
 
+def test_gradient_attention_fewer_queries_than_keys():
+    rng = np.random.default_rng(11)
+    b, h, lq, lk, d = 2, 2, 3, 5, 3
+    q = t64(rng.normal(size=(b, h, lq, d)))
+    k, v = (t64(rng.normal(size=(b, h, lk, d))) for _ in range(2))
+    pad = np.array([[False, False, False, True, True], [False, True, False, False, False]])
+
+    def loss():
+        out = nn.scaled_dot_product_attention(q, k, v, pad)
+        flat = nn.reshape(nn.swap_axes(out, 1, 2), (b * lq, h * d))
+        return nn.softmax_cross_entropy(flat, np.arange(b * lq) % (h * d))
+
+    loss().backward()
+    assert max_fd_rel_err(loss, {"q": q, "k": k, "v": v}) < 1e-6
+    # padded keys get exactly zero weight, so their values get zero gradient
+    np.testing.assert_array_equal(v.grad[0, :, 3:], 0.0)
+    np.testing.assert_array_equal(v.grad[1, :, 1], 0.0)
+
+
+def test_gradient_matmul_batched_and_weight_operands():
+    rng = np.random.default_rng(12)
+    x = t64(rng.normal(size=(2, 3, 4)))
+    w = t64(rng.normal(size=(4, 5)))      # weight: flat-GEMM gradients
+    y = t64(rng.normal(size=(2, 5, 3)))   # batched right operand
+    m = t64(rng.normal(size=(2, 3)))      # 2-d left operand broadcast over the batch
+
+    def loss():
+        z = nn.matmul(m, nn.matmul(nn.matmul(x, w), y))   # [2, 2, 3]
+        return nn.softmax_cross_entropy(nn.reshape(z, (4, 3)), np.array([0, 1, 2, 0]))
+
+    loss().backward()
+    assert max_fd_rel_err(loss, {"x": x, "w": w, "y": y, "m": m}) < 1e-6
+
+
+def test_first_gradients_are_owned_buffers():
+    # add hands one g to both parents; reshape and swap_axes hand over views
+    a = t64(np.arange(6.0).reshape(2, 3) / 10)
+    b = t64(np.ones((2, 3)))
+    c = nn.add(a, b)
+    r = nn.reshape(c, (3, 2))
+    s = nn.swap_axes(r, 0, 1)
+    out = nn.add(s, nn.Tensor(np.zeros((2, 3))))
+    nn.softmax_cross_entropy(out, np.array([0, 2])).backward()
+    grads = [t.grad for t in (a, b, c, r, s, out)]
+    assert all(g is not None for g in grads)
+    for i, gi in enumerate(grads):
+        for gj in grads[i + 1:]:
+            assert not np.shares_memory(gi, gj)
+    np.testing.assert_array_equal(a.grad, b.grad)
+
+
 def test_gradient_gather_positions():
     rng = np.random.default_rng(10)
     x = t64(rng.normal(size=(2, 5, 3)))

@@ -179,3 +179,15 @@ def test_pitch_sequence_validation():
     with pytest.raises(ValueError):
         PitchSequence(tokens=np.zeros(MAX_SEQ_LEN + 1, dtype=np.int16),
                       grid=GridUnit.SIXTEENTH)
+
+
+def test_pitch_sequence_rejects_values_the_int16_cast_would_change():
+    # 65596 wraps to 60 in int16 and 60.7 truncates to 60
+    with pytest.raises(ValueError):
+        PitchSequence(tokens=np.array([65596, 61]), grid=GridUnit.SIXTEENTH)
+    with pytest.raises(ValueError):
+        PitchSequence(tokens=np.array([60.7, 61]), grid=GridUnit.SIXTEENTH)
+    with pytest.raises(ValueError):
+        PitchSequence(tokens=np.array([np.nan, 61]), grid=GridUnit.SIXTEENTH)
+    whole = PitchSequence(tokens=np.array([60.0, 128.0]), grid=GridUnit.SIXTEENTH)
+    assert whole.tokens.dtype == np.int16 and whole.tokens.tolist() == [60, 128]
