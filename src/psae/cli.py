@@ -159,6 +159,7 @@ def cmd_train(corpus_dir: str, out_path: str, config_path: str | None = None,
     config = ModelConfig(**run["model"])
     config.validate()
     hyper = TrainHyper(seed=run["seed"], **run["train"])
+    hyper.validate()
     sequences = read_corpus_dir(corpus_dir)
     metrics_lines: list[str] = []
     timing_lines: list[str] = []

@@ -12,12 +12,14 @@ the head at those positions alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
-from . import nn
+from . import nn, parallel
 from .errors import PsaeError
 from .quantize import MAX_SEQ_LEN, PITCH_CLASSES, SequenceTooLong
 
@@ -40,6 +42,14 @@ class NoEligiblePositions(PsaeError):
 
 class NonFiniteLoss(PsaeError):
     pass
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -73,7 +83,10 @@ class ModelConfig:
 
     def validate(self) -> None:
         for f in fields(self):
-            if getattr(self, f.name) < 1:
+            value = getattr(self, f.name)
+            if not _is_int(value):
+                raise InvalidConfig(f"{f.name} must be an integer, got {value!r}")
+            if value < 1:
                 raise InvalidConfig(f"{f.name} must be positive")
         if self.hidden_dim % self.num_heads:
             raise InvalidConfig(
@@ -337,10 +350,11 @@ def make_mlm_batch(sequences, config: ModelConfig, rng: np.random.Generator,
 
 def flooded_loss(l_origin, flood_b: float):
     """Flooding transform |l - b| + b: identity above the flood level b,
-    reflected below it, so the minimum value is b (at l = b)."""
+    reflected below it, so the minimum value is b (at l = b). Tensors and
+    numpy scalars keep their dtype."""
     if flood_b < 0:
         raise ValueError(f"flood level must be >= 0, got {flood_b}")
-    if isinstance(l_origin, nn.Tensor):
+    if isinstance(l_origin, (nn.Tensor, np.floating)):
         return abs(l_origin - flood_b) + flood_b
     return abs(float(l_origin) - flood_b) + flood_b
 
@@ -355,6 +369,28 @@ class TrainHyper:
     mask_rate: float = 0.15
     mask_strategy: str = "mask"
     weight_decay: float = 0.01
+
+    def validate(self) -> None:
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise InvalidConfig(f"{name} must be an integer >= 1, got {value!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise InvalidConfig(f"seed must be an integer >= 0, got {self.seed!r}")
+        for name in ("learning_rate", "flood_b", "weight_decay", "mask_rate"):
+            value = getattr(self, name)
+            if not _is_real(value) or not math.isfinite(value):
+                raise InvalidConfig(f"{name} must be a finite number, got {value!r}")
+        if self.learning_rate <= 0:
+            raise InvalidConfig(f"learning_rate must be > 0, got {self.learning_rate!r}")
+        for name in ("flood_b", "weight_decay"):
+            if getattr(self, name) < 0:
+                raise InvalidConfig(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        if not 0 < self.mask_rate < 1:
+            raise InvalidConfig(f"mask_rate must lie in (0, 1), got {self.mask_rate!r}")
+        if self.mask_strategy not in MASK_STRATEGIES:
+            raise InvalidConfig(f"mask_strategy must be one of {MASK_STRATEGIES}, "
+                                f"got {self.mask_strategy!r}")
 
 
 @dataclass
@@ -381,17 +417,111 @@ def _masked_queries(mask_positions: np.ndarray, b_idx: np.ndarray,
     return query, slot
 
 
+# Batches under this many tokens (rows x length) train as one graph: two
+# half graphs double the per-op Python overhead, which only pays once the
+# numpy work per op is large enough to overlap on two threads. On a 2-vCPU
+# x86 VM a split step took 1.05x the one-graph time at 8 x 128 tokens,
+# 0.89x at 16 x 128 and 0.68x at 64 x 128.
+SPLIT_MIN_TOKENS = 2048
+
+# A tracer that wraps psae's functions from outside (perfbench/layers.py
+# wraps Tensor.backward among others) records spans on one stack, which
+# overlapping threads would close out of order; per-op times from
+# overlapping threads could not be attributed anyway. train runs its row
+# ranges one after the other while Tensor.backward is not this one.
+_BACKWARD = nn.Tensor.backward
+
+
+class _RangeStep(NamedTuple):
+    """Forward and backward over one row range of a masked batch."""
+
+    raw: np.ndarray                  # mean NLL over the range's masked positions
+    masked: int
+    correct: int
+    grads: dict[str, np.ndarray | None]  # d raw / d param; None when raw is not finite
+
+
+def _row_ranges(batch: TrainingBatch) -> list[slice]:
+    """The batch's fixed split: two halves from SPLIT_MIN_TOKENS up, else
+    one range. It depends on the batch alone, never on the CPU count."""
+    rows, length = batch.input_tokens.shape
+    if rows < 2 or rows * length < SPLIT_MIN_TOKENS:
+        return [slice(0, rows)]
+    half = (rows + 1) // 2
+    return [slice(0, half), slice(half, rows)]
+
+
+def _range_step(params: ModelParams, batch: TrainingBatch, rows: slice) -> _RangeStep:
+    """One range's graph over views of params: shared .data, own .grad.
+    The last layer and the head run only at the masked positions, the only
+    rows the loss reads."""
+    views = {name: nn.Tensor(t.data, requires_grad=True) for name, t in params.tensors.items()}
+    mask_positions = batch.mask_positions[rows]
+    b_idx, p_idx = np.nonzero(mask_positions)
+    query, slot = _masked_queries(mask_positions, b_idx, p_idx)
+    logits = forward(ModelParams(params.config, views), batch.input_tokens[rows],
+                     batch.pad_mask[rows], query)
+    masked_logits = nn.gather_positions(logits, b_idx, slot)
+    masked_targets = batch.targets[rows][b_idx, p_idx]
+    raw = nn.softmax_cross_entropy(masked_logits, masked_targets)
+    correct = int((masked_logits.data.argmax(axis=1) == masked_targets).sum())
+    if np.isfinite(raw.data):  # a non-finite loss stops training: no backward
+        raw.backward()
+    return _RangeStep(raw.data, len(masked_targets), correct,
+                      {name: v.grad for name, v in views.items()})
+
+
+class _BatchLoss(NamedTuple):
+    raw: float       # mean NLL over the batch's masked positions
+    flooded: float   # |raw - b| + b
+    masked: int
+    correct: int     # masked positions whose argmax is the target
+
+
+def _batch_gradients(section: parallel.Section, params: ModelParams, batch: TrainingBatch,
+                     flood_b: float) -> _BatchLoss:
+    """Run batch's row ranges on the section and leave the flooded batch
+    loss's gradient in each parameter's .grad (untouched when the loss is
+    not finite).
+
+    With raw_w the mean NLL of range w over its k_w of the batch's k
+    masked positions, the batch loss is raw = sum_w raw_w k_w / k, and
+    |raw - b| + b has the gradient sum_w sign(raw - b) (k_w / k) grad raw_w,
+    summed in range order. sign(0) = 0, as in nn.absolute.
+    """
+    steps = section.map([functools.partial(_range_step, params, batch, rows)
+                         for rows in _row_ranges(batch)],
+                        concurrent=nn.Tensor.backward is _BACKWARD)
+    k = sum(step.masked for step in steps)
+    dtype = steps[0].raw.dtype.type
+    raw = dtype(sum(float(step.raw) * step.masked for step in steps) / k)
+    if np.isfinite(raw):
+        sign = float(np.sign(raw - flood_b))
+        for name, t in params.tensors.items():
+            t.grad = None
+            for step in steps:
+                g = step.grads[name]
+                if g is not None:
+                    g *= dtype(sign * step.masked / k)
+                    t.grad = g if t.grad is None else t.grad + g
+    return _BatchLoss(float(raw), float(flooded_loss(raw, flood_b)), k,
+                      sum(step.correct for step in steps))
+
+
 def train(corpus, config: ModelConfig, hyper: TrainHyper,
           on_epoch=None) -> Checkpoint:
     """Full MLM loop: shuffle, mask, forward, cross-entropy over masked
     positions, flooding, backward, AdamW. Deterministic per hyper.seed.
-    The last layer and the head run only at the masked positions, the
-    only rows the loss reads.
+
+    Each masked batch trains as fixed row ranges on up to two threads
+    (_batch_gradients); the split depends on the batch alone, so the
+    result does not depend on the CPU count.
 
     Per-epoch metrics (raw_loss, flooded_loss, masked_accuracy, all
     averaged over masked positions) go to metadata["history"] and to the
     optional on_epoch callback.
     """
+    hyper.validate()
     rows = [np.asarray(getattr(s, "tokens", s), dtype=np.int64) for s in corpus]
     if not rows:
         raise nn.EmptyBatch("empty training corpus")
@@ -400,41 +530,33 @@ def train(corpus, config: ModelConfig, hyper: TrainHyper,
                          weight_decay=hyper.weight_decay)
     rng = np.random.default_rng([hyper.seed, 0x5eed])
     history: list[dict] = []
-    for epoch in range(1, hyper.epochs + 1):
-        order = rng.permutation(len(rows))
-        nll_sum = flooded_sum = 0.0
-        n_masked = n_correct = 0
-        for start in range(0, len(rows), hyper.batch_size):
-            batch_rows = [rows[i] for i in order[start:start + hyper.batch_size]]
-            batch = make_mlm_batch(batch_rows, config, rng,
-                                   rate=hyper.mask_rate, strategy=hyper.mask_strategy)
-            b_idx, p_idx = np.nonzero(batch.mask_positions)
-            query, slot = _masked_queries(batch.mask_positions, b_idx, p_idx)
-            logits = forward(params, batch.input_tokens, batch.pad_mask, query)
-            masked_logits = nn.gather_positions(logits, b_idx, slot)
-            masked_targets = batch.targets[b_idx, p_idx]
-            raw = nn.softmax_cross_entropy(masked_logits, masked_targets)
-            if not np.isfinite(raw.data):
-                raise NonFiniteLoss(
-                    f"non-finite loss at epoch {epoch}, batch start {start}")
-            loss = flooded_loss(raw, hyper.flood_b)
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-            k = len(masked_targets)
-            nll_sum += raw.item() * k
-            flooded_sum += loss.item() * k
-            n_masked += k
-            n_correct += int((masked_logits.data.argmax(axis=1) == masked_targets).sum())
-        metrics = {
-            "epoch": epoch,
-            "raw_loss": nll_sum / n_masked,
-            "flooded_loss": flooded_sum / n_masked,
-            "masked_accuracy": n_correct / n_masked,
-        }
-        history.append(metrics)
-        if on_epoch is not None:
-            on_epoch(metrics)
+    with parallel.Section() as section:
+        for epoch in range(1, hyper.epochs + 1):
+            order = rng.permutation(len(rows))
+            nll_sum = flooded_sum = 0.0
+            n_masked = n_correct = 0
+            for start in range(0, len(rows), hyper.batch_size):
+                batch_rows = [rows[i] for i in order[start:start + hyper.batch_size]]
+                batch = make_mlm_batch(batch_rows, config, rng,
+                                       rate=hyper.mask_rate, strategy=hyper.mask_strategy)
+                loss = _batch_gradients(section, params, batch, hyper.flood_b)
+                if not math.isfinite(loss.raw):
+                    raise NonFiniteLoss(
+                        f"non-finite loss at epoch {epoch}, batch start {start}")
+                optimizer.step()
+                nll_sum += loss.raw * loss.masked
+                flooded_sum += loss.flooded * loss.masked
+                n_masked += loss.masked
+                n_correct += loss.correct
+            metrics = {
+                "epoch": epoch,
+                "raw_loss": nll_sum / n_masked,
+                "flooded_loss": flooded_sum / n_masked,
+                "masked_accuracy": n_correct / n_masked,
+            }
+            history.append(metrics)
+            if on_epoch is not None:
+                on_epoch(metrics)
     metadata = {
         "seed": hyper.seed,
         "epochs": hyper.epochs,

@@ -267,6 +267,30 @@ def test_unknown_config_keys_rejected(tmp_path, capsys):
     assert "unknown top-level" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, config", [
+    (["--batch-size", "-3"], {}),
+    (["--batch-size", "0"], {}),
+    (["--learning-rate", "nan"], {}),
+    (["--epochs", "0"], {}),
+    ([], {"train": {"weight_decay": "x"}}),
+    ([], {"model": {**SMALL_MODEL, "embed_dim": "64"}}),
+])
+def test_train_rejects_invalid_hyperparameters(tmp_path, capsys, flags, config):
+    midi_dir = tmp_path / "midi"
+    write_midi_corpus(midi_dir, count=2)
+    tok = tmp_path / "tok"
+    main(["preprocess", "--in", str(midi_dir), "--out", str(tok)])
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "m"
+    argv = ["train", "--corpus", str(tok), "--config", str(config_path), "--out", str(out),
+            "--epochs", "1"] + flags
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ score
 
 def test_score_prints_complementary_probabilities(tmp_path, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from psae import checkpoint as ckpt
-from psae import model, nn
+from psae import model, nn, parallel
 from helpers import max_fd_rel_err, resealed
 
 MINI = model.ModelConfig(vocab_size=12, embed_dim=8, hidden_dim=8, num_layers=2,
@@ -72,6 +72,34 @@ def test_invalid_configs_rejected():
         model.ModelConfig(num_layers=0).validate()
     with pytest.raises(model.InvalidConfig):
         model.init_model(model.ModelConfig(embed_dim=32), 0)
+
+
+@pytest.mark.parametrize("bad", [{"embed_dim": "64"}, {"num_heads": 4.0}, {"num_layers": True},
+                                 {"ffn_dim": None}])
+def test_non_integer_model_fields_rejected(bad):
+    with pytest.raises(model.InvalidConfig, match="integer"):
+        dataclasses.replace(model.ModelConfig(), **bad).validate()
+
+
+@pytest.mark.parametrize("bad", [
+    {"epochs": 0}, {"epochs": 1.0}, {"epochs": True}, {"batch_size": 0}, {"batch_size": -3},
+    {"batch_size": "64"}, {"seed": -1}, {"seed": "x"}, {"learning_rate": float("nan")},
+    {"learning_rate": 0.0}, {"learning_rate": float("inf")}, {"flood_b": -0.1},
+    {"flood_b": float("nan")}, {"weight_decay": "x"}, {"weight_decay": -0.01},
+    {"mask_rate": 0.0}, {"mask_rate": 1.0}, {"mask_rate": None}, {"mask_strategy": "drop"},
+])
+def test_invalid_train_hyper_rejected(bad):
+    hyper = dataclasses.replace(model.TrainHyper(epochs=1), **bad)
+    with pytest.raises(model.InvalidConfig):
+        hyper.validate()
+    with pytest.raises(model.InvalidConfig):
+        model.train(scale_corpus(4), MINI_TRAIN, hyper)
+
+
+def test_valid_train_hyper_accepted():
+    model.TrainHyper(epochs=1).validate()
+    model.TrainHyper(epochs=2, batch_size=1, learning_rate=1, flood_b=0, weight_decay=0,
+                     mask_rate=0.5, mask_strategy="bert").validate()
 
 
 # --------------------------------------------------------------- forward
@@ -169,6 +197,66 @@ def test_query_only_training_gradients_equal_full_logits(num_layers):
         # attn_k_bias's true gradient is 0 (softmax ignores a shift), so both
         # paths hold only rounding noise there: hence the small atol
         np.testing.assert_allclose(query_grads[name], g, rtol=1e-9, atol=1e-15, err_msg=name)
+
+
+def split_batch(cfg, seed: int) -> model.TrainingBatch:
+    """A batch just big enough to split in two, with PAD tails and one to
+    three masked positions per row."""
+    rng = np.random.default_rng(seed)
+    rows = -(-model.SPLIT_MIN_TOKENS // cfg.max_position) + 1
+    tokens = rng.integers(0, 9, size=(rows, cfg.max_position))
+    lengths = rng.integers(4, cfg.max_position + 1, size=rows)
+    tokens[np.arange(cfg.max_position) >= lengths[:, None]] = cfg.pad_id
+    masked = np.zeros(tokens.shape, dtype=bool)
+    for i, n in enumerate(lengths):
+        masked[i, rng.choice(n, size=rng.integers(1, 4), replace=False)] = True
+    targets = np.where(masked, rng.integers(0, 9, size=tokens.shape), model.IGNORE_TARGET)
+    tokens[masked] = cfg.mask_id
+    return model.TrainingBatch(tokens, targets, masked, tokens == cfg.pad_id)
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+@pytest.mark.parametrize("level", ["below", "between", "above"])  # flood level vs the losses
+def test_split_batch_gradients_equal_single_graph(num_layers, level):
+    cfg = dataclasses.replace(MINI, num_layers=num_layers)
+    batch = split_batch(cfg, num_layers)
+    halves = model._row_ranges(batch)
+    counts = [int(batch.mask_positions[r].sum()) for r in halves]
+    assert len(halves) == 2 and counts[0] != counts[1]
+    assert batch.pad_mask.any()
+    half_losses = [float(model._range_step(model.init_model(cfg, 7).cast(np.float64),
+                                           batch, r).raw) for r in halves]
+    flood_b = {"below": 0.05, "above": 10.0, "between": sum(half_losses) / 2}[level]
+    if level == "between":   # the halves alone would flood with opposite signs
+        assert min(half_losses) < flood_b < max(half_losses)
+
+    whole = model.init_model(cfg, 7).cast(np.float64)
+    b_idx, p_idx = np.nonzero(batch.mask_positions)
+    query, slot = model._masked_queries(batch.mask_positions, b_idx, p_idx)
+    logits = model.forward(whole, batch.input_tokens, batch.pad_mask, query)
+    raw = nn.softmax_cross_entropy(nn.gather_positions(logits, b_idx, slot),
+                                   batch.targets[b_idx, p_idx])
+    loss = model.flooded_loss(raw, flood_b)
+    loss.backward()
+    if level != "between":
+        assert (raw.item() > flood_b) == (level == "below")
+
+    split = model.init_model(cfg, 7).cast(np.float64)
+    with parallel.Section() as section:
+        got = model._batch_gradients(section, split, batch, flood_b)
+    assert got.masked == sum(counts)
+    assert got.raw == pytest.approx(raw.item(), rel=1e-12)
+    assert got.flooded == pytest.approx(loss.item(), rel=1e-12)
+    for name, t in whole.tensors.items():
+        # attn_k_bias's true gradient is 0, so both hold rounding noise there
+        np.testing.assert_allclose(split.tensors[name].grad, t.grad, rtol=1e-9, atol=1e-15,
+                                   err_msg=name)
+
+
+def test_small_batches_train_as_one_range():
+    batch = model.make_mlm_batch(scale_corpus(4, length=16), model.ModelConfig(),
+                                 np.random.default_rng(0))
+    assert model._row_ranges(batch) == [slice(0, 4)]
 
 
 def test_shared_layer_is_single_parameter_set():
@@ -297,12 +385,22 @@ def test_flooded_loss_gradient_sign_flips_below_flood():
         assert l.grad == pytest.approx(expected)
 
 
+def test_flooded_loss_keeps_numpy_scalar_dtype():
+    out = model.flooded_loss(np.float32(0.01), 0.05)
+    assert out.dtype == np.float32
+    assert out == abs(np.float32(0.01) - np.float32(0.05)) + np.float32(0.05)
+
+
 def test_flooded_loss_rejects_negative_level():
     with pytest.raises(ValueError):
         model.flooded_loss(0.2, -0.01)
 
 
 # -------------------------------------------------------------- training
+
+MINI_TRAIN = model.ModelConfig(embed_dim=8, hidden_dim=8, num_heads=2, ffn_dim=16,
+                               num_layers=1)
+
 
 def scale_corpus(n: int, length: int = 32):
     pattern = (np.arange(length) % 8) * 2 + 50
@@ -336,6 +434,43 @@ def test_train_aborts_on_non_finite_loss():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(model.NonFiniteLoss):
             model.train(scale_corpus(16), model.ModelConfig(), hyper)
+
+
+def test_train_bytes_independent_of_worker_count(monkeypatch):
+    # two halves of 26 ragged rows: OpenBLAS's thread count changes the
+    # rounding of some of their GEMMs, so a serial split must pin it too
+    rng = np.random.default_rng(0)
+    corpus = [rng.integers(48, 84, size=rng.integers(64, 129)) for _ in range(52)]
+    hyper = model.TrainHyper(epochs=1, seed=3)
+    blas = parallel.find_openblas()
+    threads_seen = []
+
+    def on_epoch(_):
+        threads_seen.append(blas.get_threads() if blas is not None else None)
+
+    concurrent = model.train(corpus, model.ModelConfig(), hyper, on_epoch=on_epoch)
+    if blas is not None:
+        assert threads_seen == [1]      # the batch was split, BLAS pinned
+    monkeypatch.setattr(parallel, "worker_count", lambda: 1)
+    serial = model.train(corpus, model.ModelConfig(), hyper)
+    assert ckpt.save_checkpoint_bytes(concurrent) == ckpt.save_checkpoint_bytes(serial)
+    assert concurrent.metadata == serial.metadata
+
+
+def test_train_restores_blas_threads_also_on_error():
+    blas = parallel.find_openblas()
+    if blas is None:
+        pytest.skip("no OpenBLAS with a known thread-count symbol")
+    rows = model.SPLIT_MIN_TOKENS // 128           # one batch that just splits
+    hyper = model.TrainHyper(epochs=1, batch_size=rows, seed=3)
+    before = blas.get_threads()
+    model.train(scale_corpus(rows, length=128), model.ModelConfig(), hyper)
+    assert blas.get_threads() == before
+    hyper = dataclasses.replace(hyper, epochs=4, learning_rate=1e12)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(model.NonFiniteLoss):
+            model.train(scale_corpus(rows, length=128), model.ModelConfig(), hyper)
+    assert blas.get_threads() == before
 
 
 def test_train_reports_per_epoch_metrics():
