@@ -17,6 +17,7 @@ import sys
 import time
 from pathlib import Path
 
+from . import parallel
 from .augment import AugmentPolicy, expand_sequence_detailed
 from .checkpoint import load_checkpoint, save_checkpoint_bytes
 from .corpus import TOKENS_SUFFIX, format_corpus, read_corpus_dir, read_corpus_file
@@ -271,13 +272,20 @@ def render_report_text(report: EvalReport) -> str:
 def cmd_eval(model_path: str, manifest_path: str, output_dir: str,
              seed: int = 0) -> int:
     checkpoint = load_checkpoint(model_path)
+    start = time.perf_counter()
     report = evaluate_manifest(checkpoint, manifest_path,
                                scorer=lambda p: sequence_from_midi_path(p, seed=seed))
+    seconds = time.perf_counter() - start
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     text = render_report_text(report)
     _atomic_write(out_dir / "report.txt", text)
     _atomic_write(out_dir / "report.kv", render_report_kv(report))
+    # wall-clock numbers stay out of report.kv and report.txt, which are byte-deterministic
+    _atomic_write(out_dir / "eval.timing",
+                  f"clips={report.n_scored} skipped={report.n_skipped} seconds={seconds:.3f} "
+                  f"clips_per_s={report.n_scored / max(seconds, 1e-9):.2f} "
+                  f"workers={parallel.worker_count()}\n")
     print(text, end="")
     if report.errors:
         print(f"skipped {len(report.errors)} file(s)", file=sys.stderr)

@@ -53,8 +53,12 @@ def write_corpus_file(path: str | Path, sequences: list[PitchSequence]) -> None:
 
 
 def read_corpus_file(path: str | Path) -> list[PitchSequence]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(f"{path}: not UTF-8 text: {exc.reason}")
     out = []
-    for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for n, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:

@@ -428,8 +428,14 @@ SPLIT_MIN_TOKENS = 2048
 # wraps Tensor.backward among others) records spans on one stack, which
 # overlapping threads would close out of order; per-op times from
 # overlapping threads could not be attributed anyway. train runs its row
-# ranges one after the other while Tensor.backward is not this one.
+# ranges, and the scorer its variant chunks, one after the other while
+# Tensor.backward is not this one.
 _BACKWARD = nn.Tensor.backward
+
+
+def _untraced() -> bool:
+    """True while no tracer has replaced Tensor.backward: threads may overlap."""
+    return nn.Tensor.backward is _BACKWARD
 
 
 class _RangeStep(NamedTuple):
@@ -491,7 +497,7 @@ def _batch_gradients(section: parallel.Section, params: ModelParams, batch: Trai
     """
     steps = section.map([functools.partial(_range_step, params, batch, rows)
                          for rows in _row_ranges(batch)],
-                        concurrent=nn.Tensor.backward is _BACKWARD)
+                        concurrent=_untraced())
     k = sum(step.masked for step in steps)
     dtype = steps[0].raw.dtype.type
     raw = dtype(sum(float(step.raw) * step.masked for step in steps) / k)

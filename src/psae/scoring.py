@@ -9,21 +9,25 @@ group key. Nothing in this path is random.
 from __future__ import annotations
 
 import csv
+import functools
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import nn
+from . import nn, parallel
 from .errors import PsaeError
 from .model import (Checkpoint, ModelConfig, ModelParams, _attention_norm,
                     _attention_residual, _embed, _encoder_block, _ffn_sublayer, _head,
-                    _project, _split_heads, check_tokens)
+                    _project, _split_heads, _untraced, check_tokens)
 from .model import forward  # noqa: F401  (perfbench/layers.py traces scoring.forward)
 from .quantize import PitchSequence
 
-# Activation bytes one chunk of masked variants may hold; the chunk size
-# follows from it, the clip length and the widest per-position activation.
+# Activation bytes the chunks of masked variants in flight may hold
+# together; each of up to parallel.MAX_WORKERS chunks gets an equal share.
+# The chunk size follows from that share, the clip length and the widest
+# per-position activation.
 _SCORING_BUDGET_MIB = 64
 # Live copies of the widest activation during a chunk (gelu's temporaries).
 _LIVE_COPIES = 6
@@ -98,12 +102,13 @@ def _scoreable_positions(tokens: np.ndarray, n_classes: int,
 def _chunk_size(config: ModelConfig, length: int, itemsize: int) -> int:
     """Masked variants per chunk, so that a chunk's widest activation (the
     FFN hidden layer, or the full attention matrix of a middle layer) fits
-    the budget."""
+    its worker's share of the budget. It never depends on the CPU count."""
     width = config.ffn_dim
     if config.num_layers > 2:
         width = max(width, config.num_heads * length)
     per_variant = _LIVE_COPIES * itemsize * length * width
-    return max(1, (_SCORING_BUDGET_MIB << 20) // per_variant)
+    share = (_SCORING_BUDGET_MIB << 20) // parallel.MAX_WORKERS
+    return max(1, share // per_variant)
 
 
 class _FirstLayer:
@@ -203,8 +208,12 @@ def note_probabilities(model: Checkpoint | ModelParams, seq: PitchSequence,
     The unmasked clip's first layer is computed once and corrected per
     variant (see _FirstLayer); later layers run in full, except the last,
     which queries only the masked positions. Variants run in chunks sized
-    by _chunk_size. Scoring reads the parameters' data only: it records no
-    graph and leaves every .grad and requires_grad flag as it was.
+    by _chunk_size, dealt in consecutive pairs to a parallel.Section: each
+    chunk writes its own slice of the result, so the bits do not depend on
+    the CPU count, and a clip that fits one chunk runs on the caller alone.
+    Under a tracer (model._untraced) the chunks run one after the other.
+    Scoring reads the parameters' data only: it records no graph and
+    leaves every .grad and requires_grad flag as it was.
     """
     params = _params_of(model)
     config = params.config
@@ -220,7 +229,8 @@ def note_probabilities(model: Checkpoint | ModelParams, seq: PitchSequence,
     first = _FirstLayer(config, t, x_base, x_masked) if config.num_layers > 1 else None
     chunk = _chunk_size(config, len(tokens), x_base.data.itemsize)
     probs = np.empty(len(groups))
-    for start in range(0, len(groups), chunk):
+
+    def score_chunk(start: int) -> None:
         part = groups[start:start + chunk]
         width = max(len(g) for g in part)
         idx = np.stack([np.resize(g, width) for g in part])   # pad by repeating
@@ -238,6 +248,13 @@ def note_probabilities(model: Checkpoint | ModelParams, seq: PitchSequence,
         p = _softmax_rows(_head(t, x).data)
         p_true = np.take_along_axis(p, tokens[idx][..., None], axis=-1)[..., 0]
         probs[start:start + len(part)] = (p_true * valid).sum(axis=1) / valid.sum(axis=1)
+
+    starts = range(0, len(groups), chunk)
+    with parallel.Section() as section:
+        for i in range(0, len(starts), parallel.MAX_WORKERS):
+            section.map([functools.partial(score_chunk, start)
+                         for start in starts[i:i + parallel.MAX_WORKERS]],
+                        concurrent=_untraced())
     first_steps = np.array([int(g[0]) for g in groups])
     return NoteProbabilities(probabilities=probs, positions=first_steps)
 
@@ -309,25 +326,32 @@ def read_manifest(path: str | Path) -> list[ManifestRow]:
     human or ai. Relative paths resolve against the manifest's directory."""
     path = Path(path)
     base = path.parent
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ManifestMalformed(f"{path}: not UTF-8 text: {exc.reason}")
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    header = reader.fieldnames or []
+    if "path" not in header or "label" not in header:
+        raise ManifestMalformed(f"manifest needs path and label columns, got {header}")
+    unknown = set(header) - {"path", "label", *GROUP_KEYS}
+    if unknown:
+        raise ManifestMalformed(f"unknown manifest columns: {sorted(unknown)}")
     rows: list[ManifestRow] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        if "path" not in header or "label" not in header:
-            raise ManifestMalformed(f"manifest needs path and label columns, got {header}")
-        unknown = set(header) - {"path", "label", *GROUP_KEYS}
-        if unknown:
-            raise ManifestMalformed(f"unknown manifest columns: {sorted(unknown)}")
-        for line_no, record in enumerate(reader, start=2):
-            file_path = (record.get("path") or "").strip()
-            label = (record.get("label") or "").strip()
-            if not file_path or label not in ("human", "ai"):
-                raise ManifestMalformed(
-                    f"line {line_no}: need a path and label human|ai, got {record}")
-            resolved = file_path if Path(file_path).is_absolute() else str(base / file_path)
-            groups = {k: (record.get(k) or "").strip() for k in GROUP_KEYS}
-            rows.append(ManifestRow(path=resolved, label=label,
-                                    groups={k: v for k, v in groups.items() if v}))
+    for record in reader:
+        line_no = reader.line_num  # the record's last physical line
+        if None in record:  # DictReader files the fields beyond the header under None
+            raise ManifestMalformed(f"line {line_no}: {len(header) + len(record[None])} "
+                                    f"fields, header has {len(header)}")
+        file_path = (record.get("path") or "").strip()
+        label = (record.get("label") or "").strip()
+        if not file_path or label not in ("human", "ai"):
+            raise ManifestMalformed(
+                f"line {line_no}: need a path and label human|ai, got {record}")
+        resolved = file_path if Path(file_path).is_absolute() else str(base / file_path)
+        groups = {k: (record.get(k) or "").strip() for k in GROUP_KEYS}
+        rows.append(ManifestRow(path=resolved, label=label,
+                                groups={k: v for k, v in groups.items() if v}))
     if not rows:
         raise ManifestMalformed("manifest has no data rows")
     return rows

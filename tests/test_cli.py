@@ -6,13 +6,15 @@ import re
 import numpy as np
 import pytest
 
-from psae import cli, model
+from psae import cli, model, parallel
 from psae.augment import random_truncate, transpose
-from psae.cli import main, parse_report_kv, render_report_kv
+from psae.checkpoint import load_checkpoint
+from psae.cli import main, parse_report_kv, render_report_kv, render_report_text
 from psae.corpus import (CorpusFormatError, format_sequence, parse_sequence_line,
                          read_corpus_dir, read_corpus_file)
+from psae.pipeline import sequence_from_midi_path
 from psae.quantize import GridUnit, PitchSequence
-from psae.scoring import EvalReport, ManifestRow
+from psae.scoring import EvalReport, ManifestRow, evaluate_manifest
 from helpers import notes, resealed, smf_bytes
 
 
@@ -66,6 +68,14 @@ def test_corpus_parse_errors():
         parse_sequence_line("id\t16th\t60 sixty")
     with pytest.raises(CorpusFormatError):
         parse_sequence_line("a\t16th\t60 99999")
+
+
+
+def test_corpus_file_not_utf8_rejected(tmp_path):
+    bad = tmp_path / "a.tokens"
+    bad.write_bytes(b"a\t16th\t60 61\xff\n")
+    with pytest.raises(CorpusFormatError, match="a.tokens"):
+        read_corpus_file(bad)
 
 
 # ------------------------------------------------------------- preprocess
@@ -356,6 +366,27 @@ def test_eval_report_files_and_round_trip(tmp_path, capsys):
     assert 0.0 <= parsed["overall_auc"] <= 1.0
     assert parsed["scored"] == 4 and parsed["skipped"] == 0
     assert len(parsed["excerpts"]) == 4
+
+
+def test_eval_writes_timing_apart_from_report(tmp_path):
+    model_path, midi_dir = run_small_pipeline(tmp_path)
+    manifest = tmp_path / "manifest.csv"
+    rows = ["path,label"] + [f"{p},{'human' if i % 2 else 'ai'}"
+                             for i, p in enumerate(sorted(midi_dir.glob("*.mid")))]
+    manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    out_dir = tmp_path / "report"
+    assert main(["eval", "--model", str(model_path), "--manifest", str(manifest),
+                 "--out", str(out_dir)]) == 0
+    (line,) = (out_dir / "eval.timing").read_text().splitlines()
+    fields = dict(kv.split("=", 1) for kv in line.split())
+    assert list(fields) == ["clips", "skipped", "seconds", "clips_per_s", "workers"]
+    assert (int(fields["clips"]), int(fields["skipped"])) == (4, 0)
+    assert float(fields["seconds"]) > 0 and float(fields["clips_per_s"]) > 0
+    assert int(fields["workers"]) == parallel.worker_count()
+    report = evaluate_manifest(load_checkpoint(model_path), manifest,
+                               scorer=lambda p: sequence_from_midi_path(p, seed=0))
+    assert (out_dir / "report.kv").read_bytes() == render_report_kv(report).encode("utf-8")
+    assert (out_dir / "report.txt").read_bytes() == render_report_text(report).encode("utf-8")
 
 
 def test_eval_missing_class_surfaces_single_class_error(tmp_path, capsys):

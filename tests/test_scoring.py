@@ -1,12 +1,13 @@
 """Per-note masked probabilities, score averaging, AUC, manifests."""
 
+import threading
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from psae import model, scoring
+from psae import model, nn, parallel, scoring
 from psae.quantize import REST_ID, GridUnit, PitchSequence, SequenceTooLong
 from psae.scoring import (ExcerptScore, ManifestMalformed, ManifestRow,
                           NoScoreablePositions, NoteProbabilities, SingleClassOnly,
@@ -224,6 +225,99 @@ def test_scoring_is_deterministic(mini_params):
     assert (a == b).all()
 
 
+# ------------------------------------------------- chunks on two threads
+
+def concurrent_here() -> bool:
+    return parallel.worker_count() > 1 and parallel.find_openblas() is not None
+
+
+def chunked(monkeypatch, size):
+    monkeypatch.setattr(scoring, "_chunk_size", lambda config, length, itemsize: size)
+
+
+@pytest.mark.parametrize("whole_notes", [False, True])
+def test_chunks_give_the_same_bits_on_one_and_two_workers(monkeypatch, mini_params,
+                                                          whole_notes):
+    seq = sustained_notes(np.random.default_rng(21), 60)
+    n_groups = len(_scoreable_positions(np.asarray(seq.tokens), MINI.output_classes,
+                                        whole_notes))
+    size = -(-n_groups // 5)                 # at most five chunks
+    chunked(monkeypatch, size)
+    assert len(range(0, n_groups, size)) % 2 == 1   # the last map runs one task
+    monkeypatch.setattr(parallel, "worker_count", lambda: 2)
+    two = note_probabilities(mini_params, seq, whole_notes).probabilities
+    monkeypatch.setattr(parallel, "worker_count", lambda: 1)
+    one = note_probabilities(mini_params, seq, whole_notes).probabilities
+    assert two.tobytes() == one.tobytes()
+    np.testing.assert_allclose(one, one_at_a_time(mini_params, seq, whole_notes),
+                               rtol=0, atol=1e-6)
+
+
+def test_scoring_restores_blas_threads_also_when_a_chunk_raises(monkeypatch, mini_params):
+    blas = parallel.find_openblas()
+    if blas is None:
+        pytest.skip("no OpenBLAS with a known thread-count symbol")
+    seq = mini_seq(np.random.default_rng(22).integers(0, 9, size=20))
+    chunked(monkeypatch, 5)
+    threads_seen = []
+    head = scoring._head
+
+    def recording_head(t, x):
+        threads_seen.append(blas.get_threads())
+        return head(t, x)
+
+    before = blas.get_threads()
+    monkeypatch.setattr(scoring, "_head", recording_head)
+    note_probabilities(mini_params, seq)
+    assert threads_seen == [1] * 4
+    assert blas.get_threads() == before
+
+    def failing_head(t, x):
+        threads_seen.append(None)
+        if len(threads_seen) == 6:          # its second call in this scoring run
+            raise RuntimeError("chunk failed")
+        return head(t, x)
+
+    monkeypatch.setattr(scoring, "_head", failing_head)
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        note_probabilities(mini_params, seq)
+    assert blas.get_threads() == before
+
+
+@pytest.mark.parametrize("traced", [True, False])
+def test_chunks_run_on_the_caller_under_a_tracer(monkeypatch, mini_params, traced):
+    seq = mini_seq(np.random.default_rng(23).integers(0, 9, size=20))
+    chunked(monkeypatch, 5)
+    plain = note_probabilities(mini_params, seq).probabilities
+    threads = []
+    gelu = nn.gelu
+
+    def recording_gelu(x):
+        threads.append(threading.current_thread())
+        return gelu(x)
+
+    monkeypatch.setattr(nn, "gelu", recording_gelu)
+    if traced:
+        backward = nn.Tensor.backward
+        monkeypatch.setattr(nn.Tensor, "backward", lambda self: backward(self))
+    got = note_probabilities(mini_params, seq).probabilities
+    assert len(threads) == MINI.num_layers * 4     # one FFN per layer and chunk
+    on_caller = [thread is threading.current_thread() for thread in threads]
+    assert all(on_caller) == (traced or not concurrent_here())
+    assert got.tobytes() == plain.tobytes()
+
+
+def test_clip_that_fits_one_chunk_starts_no_thread(monkeypatch, mini_params):
+    def forbidden(*args):
+        raise AssertionError("a one-chunk clip must not start a thread or look up BLAS")
+
+    monkeypatch.setattr(parallel, "find_openblas", forbidden)
+    monkeypatch.setattr(parallel.futures, "ThreadPoolExecutor", forbidden)
+    seq = mini_seq(np.random.default_rng(24).integers(0, 9, size=20))
+    assert scoring._chunk_size(MINI, 20, 4) >= 20
+    assert_matches_one_at_a_time(mini_params, seq)
+
+
 # -------------------------------------------------------- ai_probability
 
 def test_mean_of_constant_probabilities():
@@ -400,3 +494,17 @@ def test_manifest_parsing(tmp_path):
     empty.write_text("path,label\n", encoding="utf-8")
     with pytest.raises(ManifestMalformed):
         read_manifest(empty)
+
+
+def test_manifest_row_with_extra_fields_rejected(tmp_path):
+    extra = tmp_path / "x.csv"
+    extra.write_text('path,label\n"b\nb.mid",human\na.mid,ai,extra,cols\n', encoding="utf-8")
+    with pytest.raises(ManifestMalformed, match="line 4"):
+        read_manifest(extra)
+
+
+def test_manifest_not_utf8_rejected(tmp_path):
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes("path,label\nbl\u00e5.mid,ai\n".encode("latin-1"))
+    with pytest.raises(ManifestMalformed, match="latin.csv"):
+        read_manifest(latin)
