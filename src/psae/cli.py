@@ -162,6 +162,7 @@ def cmd_train(corpus_dir: str, out_path: str, config_path: str | None = None,
     hyper = TrainHyper(seed=run["seed"], **run["train"])
     hyper.validate()
     sequences = read_corpus_dir(corpus_dir)
+    tokens = sum(len(s.tokens) for s in sequences)   # corpus rows hold no PAD
     metrics_lines: list[str] = []
     timing_lines: list[str] = []
     epoch_start = time.perf_counter()
@@ -174,8 +175,10 @@ def cmd_train(corpus_dir: str, out_path: str, config_path: str | None = None,
                 f"flooded_loss={m['flooded_loss']:.6f} "
                 f"masked_accuracy={m['masked_accuracy']:.6f}")
         metrics_lines.append(line)
+        seconds = max(seconds, 1e-9)
         timing_lines.append(f"epoch={m['epoch']} seconds={seconds:.3f} "
-                            f"rows_per_s={len(sequences) / max(seconds, 1e-9):.1f}")
+                            f"rows_per_s={len(sequences) / seconds:.1f} "
+                            f"tokens_per_s={tokens / seconds:.1f}")
         print(line)
 
     checkpoint = train(sequences, config, hyper, on_epoch=on_epoch)

@@ -5,9 +5,10 @@ sharing), so doubling num_layers costs nothing. Blocks are pre-norm
 residual; the head projects every position onto the 128 pitch classes.
 Training masks a fraction of the pitch positions, scores them with
 softmax cross-entropy, and runs the result through the flooding transform
-|l - b| + b so the loss cannot be driven to zero. Only the masked
-positions reach the loss, so training runs the last layer's queries and
-the head at those positions alone.
+|l - b| + b so the loss cannot be driven to zero. forward computes only
+the real (non-PAD) positions, packed as rows; only the masked positions
+reach the loss, so training runs the last layer's queries and the head at
+those positions alone.
 """
 
 from __future__ import annotations
@@ -190,9 +191,13 @@ def _rows(x: nn.Tensor, positions: np.ndarray) -> nn.Tensor:
     return nn.reshape(picked, (b, n, x.shape[-1]))
 
 
-def _embed(t: dict[str, nn.Tensor], tokens: np.ndarray) -> nn.Tensor:
+def _embed(t: dict[str, nn.Tensor], tokens: np.ndarray,
+           positions: np.ndarray | None = None) -> nn.Tensor:
+    """Token plus position embedding; positions default to 0..length-1."""
+    if positions is None:
+        positions = np.arange(tokens.shape[-1])
     return nn.add(nn.embedding_lookup(t["token_embedding"], tokens),
-                  nn.embedding_lookup(t["position_embedding"], np.arange(tokens.shape[1])))
+                  nn.embedding_lookup(t["position_embedding"], positions))
 
 
 def _project(t: dict[str, nn.Tensor], h: nn.Tensor, name: str) -> nn.Tensor:
@@ -210,7 +215,6 @@ def _attention_residual(t: dict[str, nn.Tensor], x: nn.Tensor, attn: nn.Tensor) 
 
 
 def _attention_sublayer(config: ModelConfig, t: dict[str, nn.Tensor], x: nn.Tensor,
-                        pad_mask: np.ndarray | None,
                         query_positions: np.ndarray | None = None) -> nn.Tensor:
     """Pre-norm self-attention plus residual over x [batch, length, d].
 
@@ -224,7 +228,7 @@ def _attention_sublayer(config: ModelConfig, t: dict[str, nn.Tensor], x: nn.Tens
     k = _project(t, h, "k")
     v = _project(t, h, "v")
     attn = nn.scaled_dot_product_attention(_split_heads(config, q), _split_heads(config, k),
-                                           _split_heads(config, v), pad_mask)
+                                           _split_heads(config, v))
     return _attention_residual(t, x, _merge_heads(attn))
 
 
@@ -237,9 +241,26 @@ def _ffn_sublayer(t: dict[str, nn.Tensor], x: nn.Tensor) -> nn.Tensor:
 
 
 def _encoder_block(config: ModelConfig, t: dict[str, nn.Tensor], x: nn.Tensor,
-                   pad_mask: np.ndarray | None,
                    query_positions: np.ndarray | None = None) -> nn.Tensor:
-    return _ffn_sublayer(t, _attention_sublayer(config, t, x, pad_mask, query_positions))
+    """One layer over a [batch, length, d] block with no PAD (the scorer's)."""
+    return _ffn_sublayer(t, _attention_sublayer(config, t, x, query_positions))
+
+
+def _packed_block(config: ModelConfig, t: dict[str, nn.Tensor], x: nn.Tensor,
+                  pad_mask: np.ndarray, query_rows: np.ndarray | None = None) -> nn.Tensor:
+    """One layer over x [n, d], the real rows of a [batch, length] grid
+    (pad_mask True at PAD) in row-major order.
+
+    With query_rows ([batch, q] indices into x) only those rows query: keys
+    and values still cover every row, and the output is [batch, q, d].
+    """
+    h = _attention_norm(t, x)
+    if query_rows is not None:
+        x = nn.embedding_lookup(x, query_rows)
+    q = _project(t, h if query_rows is None else nn.embedding_lookup(h, query_rows), "q")
+    attn = nn.packed_attention(q, _project(t, h, "k"), _project(t, h, "v"), pad_mask,
+                               config.num_heads)
+    return _ffn_sublayer(t, _attention_residual(t, x, attn))
 
 
 def _head(t: dict[str, nn.Tensor], x: nn.Tensor) -> nn.Tensor:
@@ -265,8 +286,11 @@ def forward(params: ModelParams, input_tokens: np.ndarray,
             query_positions: np.ndarray | None = None) -> nn.Tensor:
     """Token ids [batch, length] -> pitch logits [batch, length, classes].
 
-    pad_mask (True at PAD) keeps padded keys out of attention; PAD
-    positions still produce logits, callers just never read them.
+    Only the real positions are computed: pad_mask (True at PAD) drops
+    the rest, and the real ones run through every layer packed as [n, d]
+    rows, attending to the real keys of their own batch row. A PAD
+    position's logits are a placeholder (those of a real position); callers
+    never read them.
 
     With query_positions ([batch, n] ints) every layer but the last runs
     in full, the last layer queries only those rows, and the logits are
@@ -276,20 +300,32 @@ def forward(params: ModelParams, input_tokens: np.ndarray,
     config = params.config
     tokens = np.asarray(input_tokens)
     check_tokens(config, tokens)
-    if query_positions is not None:
-        query_positions = np.asarray(query_positions)
-        if (query_positions.ndim != 2 or query_positions.shape[0] != tokens.shape[0]
-                or query_positions.dtype.kind not in "iu"):
-            raise nn.ShapeMismatch(
-                f"query_positions must be [batch, n] ints, got {query_positions.shape}")
-        if query_positions.size and (query_positions.min() < 0
-                                     or query_positions.max() >= tokens.shape[1]):
-            raise nn.ShapeMismatch(f"query_positions outside [0, {tokens.shape[1]})")
+    batch, length = tokens.shape
+    if query_positions is None:
+        query_positions = np.broadcast_to(np.arange(length), tokens.shape)
+    query_positions = np.asarray(query_positions)
+    if (query_positions.ndim != 2 or query_positions.shape[0] != batch
+            or query_positions.dtype.kind not in "iu"):
+        raise nn.ShapeMismatch(
+            f"query_positions must be [batch, n] ints, got {query_positions.shape}")
+    if query_positions.size and (query_positions.min() < 0
+                                 or query_positions.max() >= length):
+        raise nn.ShapeMismatch(f"query_positions outside [0, {length})")
+    pad = np.zeros(tokens.shape, dtype=bool) if pad_mask is None else np.asarray(pad_mask, bool)
+    if pad.shape != tokens.shape:
+        raise nn.ShapeMismatch(f"pad_mask {pad.shape} vs tokens {tokens.shape}")
+    real = ~pad
+    if not real.any():
+        raise nn.EmptyBatch("every position is PAD")
+    b_idx, p_idx = np.nonzero(real)
+    # packed row of each position; a PAD position gets a nearby real row
+    row_of = np.maximum(np.cumsum(real) - 1, 0).reshape(tokens.shape)
+    query_rows = row_of[np.arange(batch)[:, None], query_positions]
     t = params.tensors
-    x = _embed(t, tokens)
+    x = _embed(t, tokens[b_idx, p_idx], p_idx)
     for layer in range(config.num_layers):
         last = layer == config.num_layers - 1
-        x = _encoder_block(config, t, x, pad_mask, query_positions if last else None)
+        x = _packed_block(config, t, x, pad, query_rows if last else None)
     return _head(t, x)
 
 

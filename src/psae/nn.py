@@ -305,9 +305,8 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     data = table.data[ids]
 
     def backward(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.shape[-1]))
-        table._accumulate(gt)
+        table._accumulate(_segment_sum(ids.reshape(-1), g.reshape(-1, table.shape[-1]),
+                                       table.shape[0]))
 
     return _make(data, (table,), backward)
 
@@ -319,21 +318,63 @@ def gather_positions(x: Tensor, batch_idx: np.ndarray, pos_idx: np.ndarray) -> T
     data = x.data[batch_idx, pos_idx]
 
     def backward(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (batch_idx, pos_idx), g)
-        x._accumulate(gx)
+        b, l, c = x.shape
+        flat = np.ravel_multi_index((batch_idx, pos_idx), (b, l))
+        x._accumulate(_segment_sum(flat, g, b * l).reshape(b, l, c))
 
     return _make(data, (x,), backward)
 
 
+def _segment_sum(ids: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
+    """[size, C] sums of rows[i] into slot ids[i], the backward of a row gather.
+
+    A stable sort keeps each slot's rows in their original order, so a
+    repeated id sums in the same order every time.
+    """
+    out = np.zeros((size, rows.shape[-1]), dtype=rows.dtype)
+    if ids.size:
+        order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[order]
+        starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+        out[sorted_ids[starts]] = np.add.reduceat(rows[order], starts, axis=0)
+    return out
+
+
+def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+               padding_mask: np.ndarray | None):
+    """Softmax(q k^T / sqrt(d)) v on [batch, heads, length, head_dim] arrays.
+
+    The scale is folded into q, the mask bias and the softmax run in place
+    on the score matrix, and only the attention weights are kept for
+    backward. Returns the output and a function that maps its gradient to
+    the gradients of q, k and v.
+    """
+    scale = q.dtype.type(1.0 / np.sqrt(q.shape[-1]))
+    qs = q * scale
+    p = np.matmul(qs, np.swapaxes(k, -1, -2))
+    if padding_mask is not None:
+        p += np.where(padding_mask, -1e9, 0.0).astype(q.dtype)[:, None, None, :]
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = np.matmul(p, v)
+
+    def grads(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        gv = np.matmul(np.swapaxes(p, -1, -2), g)
+        # softmax backward: p * (g v^T - rowsum), rowsum_i = g_i . out_i
+        gs = np.matmul(g, np.swapaxes(v, -1, -2))
+        gs -= (g * out).sum(axis=-1, keepdims=True)
+        gs *= p
+        return np.matmul(gs, k) * scale, np.matmul(np.swapaxes(gs, -1, -2), qs), gv
+
+    return out, grads
+
+
 def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
                                  padding_mask: np.ndarray | None = None) -> Tensor:
-    """Softmax(q k^T / sqrt(d)) v over [batch, heads, length, head_dim].
-
-    One graph node: the scale is folded into q, the mask bias and the
-    softmax run in place on the score matrix, and only the attention
-    weights are kept for backward. q may hold fewer rows than k and v
-    (only some positions query).
+    """Softmax(q k^T / sqrt(d)) v over [batch, heads, length, head_dim], as
+    one graph node. q may hold fewer rows than k and v (only some positions
+    query).
 
     padding_mask is a boolean [batch, keys] array, True at PAD positions;
     masked keys get an additive -1e9 before softmax, which underflows to an
@@ -344,35 +385,65 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
     if (q.shape[:2] != k.shape[:2] or k.shape[:2] != v.shape[:2]
             or q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]):
         raise ShapeMismatch(f"attention: incompatible q/k/v {q.shape}/{k.shape}/{v.shape}")
-    scale = q.dtype.type(1.0 / np.sqrt(q.shape[-1]))
-    qs = q.data * scale
-    p = np.matmul(qs, np.swapaxes(k.data, -1, -2))
     if padding_mask is not None:
         padding_mask = np.asarray(padding_mask, dtype=bool)
         if padding_mask.shape != (q.shape[0], k.shape[-2]):
             raise ShapeMismatch(
                 f"attention: padding_mask {padding_mask.shape} vs batch/keys "
                 f"({q.shape[0]}, {k.shape[-2]})")
-        p += np.where(padding_mask, -1e9, 0.0).astype(q.dtype)[:, None, None, :]
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    data = np.matmul(p, v.data)
+    data, grads = _attention(q.data, k.data, v.data, padding_mask)
 
     def backward(g):
-        if v.requires_grad:
-            v._accumulate(np.matmul(np.swapaxes(p, -1, -2), g))
-        if q.requires_grad or k.requires_grad:
-            # softmax backward: p * (g v^T - rowsum), rowsum_i = g_i . out_i
-            gs = np.matmul(g, np.swapaxes(v.data, -1, -2))
-            gs -= (g * data).sum(axis=-1, keepdims=True)
-            gs *= p
-            if q.requires_grad:
-                q._accumulate(np.matmul(gs, k.data) * scale)
-            if k.requires_grad:
-                k._accumulate(np.matmul(np.swapaxes(gs, -1, -2), qs))
+        for t, gt in zip((q, k, v), grads(g)):
+            if t.requires_grad:
+                t._accumulate(gt)
 
     return _make(data, (q, k, v), backward)
+
+
+def packed_attention(q: Tensor, k: Tensor, v: Tensor, padding_mask: np.ndarray,
+                     heads: int) -> Tensor:
+    """Multi-head attention over packed rows, as one graph node.
+
+    k and v are [n, d]: the rows of the positions where padding_mask
+    ([batch, length], True at PAD) is False, in row-major order. q holds
+    either the same n rows or [batch, queries, d] query slots. The node
+    scatters the rows into zero-filled [batch, heads, length, d / heads]
+    blocks, attends as scaled_dot_product_attention does (PAD keys get an
+    exactly-zero weight) and returns q's layout.
+    """
+    padding_mask = np.asarray(padding_mask, dtype=bool)
+    if padding_mask.ndim != 2:
+        raise ShapeMismatch(f"packed attention: padding_mask must be 2-d, got {padding_mask.shape}")
+    batch, length = padding_mask.shape
+    rows = np.nonzero(~padding_mask)
+    n, d = len(rows[0]), q.shape[-1]
+    slots = q.ndim == 3 and q.shape[0] == batch
+    if k.shape != (n, d) or v.shape != (n, d) or d % heads or not (slots or q.shape == (n, d)):
+        raise ShapeMismatch(f"packed attention: q/k/v {q.shape}/{k.shape}/{v.shape} vs "
+                            f"{n} rows of {heads} heads")
+    head_dim = d // heads
+
+    def split(x: np.ndarray) -> np.ndarray:
+        if x.ndim == 3:
+            return np.swapaxes(x.reshape(batch, -1, heads, head_dim), 1, 2)
+        blocks = np.zeros((batch, heads, length, head_dim), dtype=x.dtype)
+        blocks[rows[0], :, rows[1]] = x.reshape(n, heads, head_dim)
+        return blocks
+
+    def merge(x: np.ndarray, ndim: int) -> np.ndarray:
+        if ndim == 3:
+            return np.swapaxes(x, 1, 2).reshape(batch, -1, d)
+        return x[rows[0], :, rows[1]].reshape(n, d)
+
+    data, grads = _attention(split(q.data), split(k.data), split(v.data), padding_mask)
+
+    def backward(g):
+        for t, gt in zip((q, k, v), grads(split(g))):
+            if t.requires_grad:
+                t._accumulate(merge(gt, t.ndim))
+
+    return _make(merge(data, q.ndim), (q, k, v), backward)
 
 
 def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

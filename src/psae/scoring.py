@@ -243,8 +243,8 @@ def note_probabilities(model: Checkpoint | ModelParams, seq: PitchSequence,
             attn = nn.Tensor(first.attention(idx, valid).astype(x.dtype))
             x = _ffn_sublayer(t, _attention_residual(t, x, attn))
             for _ in range(config.num_layers - 2):
-                x = _encoder_block(config, t, x, None)
-        x = _encoder_block(config, t, x, None, query_positions=idx)
+                x = _encoder_block(config, t, x)
+        x = _encoder_block(config, t, x, query_positions=idx)
         p = _softmax_rows(_head(t, x).data)
         p_true = np.take_along_axis(p, tokens[idx][..., None], axis=-1)[..., 0]
         probs[start:start + len(part)] = (p_true * valid).sum(axis=1) / valid.sum(axis=1)

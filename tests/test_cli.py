@@ -183,11 +183,16 @@ def test_train_writes_timing_apart_from_metrics(tmp_path):
     model_path, _ = run_small_pipeline(tmp_path)
     timing = model_path.with_name(model_path.name + ".timing").read_text().splitlines()
     assert len(timing) == 2
+    corpus = read_corpus_dir(tmp_path / "tok")
+    rows, tokens = len(corpus), sum(len(s.tokens) for s in corpus)
     for epoch, line in enumerate(timing, start=1):
         fields = dict(kv.split("=", 1) for kv in line.split())
-        assert set(fields) == {"epoch", "seconds", "rows_per_s"}
+        assert set(fields) == {"epoch", "seconds", "rows_per_s", "tokens_per_s"}
         assert int(fields["epoch"]) == epoch
         assert float(fields["seconds"]) > 0 and float(fields["rows_per_s"]) > 0
+        # every corpus token is real (non-PAD): tokens per row is the mean length
+        assert float(fields["tokens_per_s"]) / float(fields["rows_per_s"]) == pytest.approx(
+            tokens / rows, rel=5e-3)
     metrics = model_path.with_name(model_path.name + ".metrics").read_text().splitlines()
     for epoch, line in enumerate(metrics, start=1):
         assert re.fullmatch(rf"epoch={epoch} raw_loss=\d+\.\d{{6}} flooded_loss=\d+\.\d{{6}} "

@@ -152,6 +152,11 @@ def test_forward_errors():
     from psae.quantize import SequenceTooLong
     with pytest.raises(SequenceTooLong):
         model.forward(params, np.zeros((1, MINI.max_position + 1), dtype=int))
+    tokens = np.zeros((2, 4), dtype=int)
+    with pytest.raises(nn.ShapeMismatch):
+        model.forward(params, tokens, np.zeros((2, 3), dtype=bool))
+    with pytest.raises(nn.EmptyBatch):
+        model.forward(params, tokens, np.ones((2, 4), dtype=bool))
 
 
 def test_forward_query_positions_errors():
@@ -206,10 +211,17 @@ def split_batch(cfg, seed: int) -> model.TrainingBatch:
     rows = -(-model.SPLIT_MIN_TOKENS // cfg.max_position) + 1
     tokens = rng.integers(0, 9, size=(rows, cfg.max_position))
     lengths = rng.integers(4, cfg.max_position + 1, size=rows)
-    tokens[np.arange(cfg.max_position) >= lengths[:, None]] = cfg.pad_id
+    return masked_batch(cfg, tokens, lengths, rng)
+
+
+def masked_batch(cfg, tokens: np.ndarray, lengths: np.ndarray,
+                 rng: np.random.Generator) -> model.TrainingBatch:
+    """tokens with PAD after each row's length and one to three (at most
+    length) masked positions per row."""
+    tokens[np.arange(tokens.shape[1]) >= lengths[:, None]] = cfg.pad_id
     masked = np.zeros(tokens.shape, dtype=bool)
     for i, n in enumerate(lengths):
-        masked[i, rng.choice(n, size=rng.integers(1, 4), replace=False)] = True
+        masked[i, rng.choice(n, size=min(n, rng.integers(1, 4)), replace=False)] = True
     targets = np.where(masked, rng.integers(0, 9, size=tokens.shape), model.IGNORE_TARGET)
     tokens[masked] = cfg.mask_id
     return model.TrainingBatch(tokens, targets, masked, tokens == cfg.pad_id)
@@ -251,6 +263,75 @@ def test_split_batch_gradients_equal_single_graph(num_layers, level):
         # attn_k_bias's true gradient is 0, so both hold rounding noise there
         np.testing.assert_allclose(split.tensors[name].grad, t.grad, rtol=1e-9, atol=1e-15,
                                    err_msg=name)
+
+
+def per_row_reference(params: model.ModelParams, batch: model.TrainingBatch):
+    """The batch's mean masked NLL and its gradients from one PAD-free graph
+    per row: row b runs alone at its own length, weighted by its share of
+    the batch's masked positions."""
+    k = int(batch.mask_positions.sum())
+    raw, grads = 0.0, {}
+    for b in range(len(batch.input_tokens)):
+        length = int((~batch.pad_mask[b]).sum())
+        positions = np.nonzero(batch.mask_positions[b])[0]
+        for t in params.tensors.values():
+            t.grad = None
+        logits = model.forward(params, batch.input_tokens[b:b + 1, :length])
+        loss = nn.softmax_cross_entropy(
+            nn.gather_positions(logits, np.zeros_like(positions), positions),
+            batch.targets[b, positions])
+        loss.backward()
+        weight = len(positions) / k
+        raw += weight * loss.item()
+        for name, t in params.tensors.items():
+            grads[name] = grads.get(name, 0.0) + weight * t.grad
+    return raw, grads
+
+
+@pytest.mark.parametrize("num_layers", [1, 2, 3])
+@pytest.mark.parametrize("case", ["one_range", "split"])
+def test_packed_gradients_equal_pad_free_rows(num_layers, case):
+    cfg = dataclasses.replace(MINI, num_layers=num_layers)
+    rng = np.random.default_rng(num_layers)
+    if case == "one_range":
+        lengths = np.array([1, 8, 5, 3])
+    else:   # the first range is all full length; the second holds a length-1 row
+        rows = -(-model.SPLIT_MIN_TOKENS // cfg.max_position) + 1
+        lengths = np.full(rows, cfg.max_position)
+        lengths[(rows + 1) // 2:] = rng.integers(1, cfg.max_position + 1, size=rows // 2)
+        lengths[-3] = 1
+    batch = masked_batch(cfg, rng.integers(0, 9, size=(len(lengths), cfg.max_position)),
+                         lengths, rng)
+    assert len(model._row_ranges(batch)) == (2 if case == "split" else 1)
+    packed = model.init_model(cfg, 7).cast(np.float64)
+    with parallel.Section() as section:
+        got = model._batch_gradients(section, packed, batch, flood_b=0.0)
+    raw, grads = per_row_reference(model.init_model(cfg, 7).cast(np.float64), batch)
+    assert got.raw == pytest.approx(raw, rel=1e-12)
+    for name, g in grads.items():
+        # attn_k_bias's true gradient is 0, so both hold rounding noise there
+        np.testing.assert_allclose(packed.tensors[name].grad, g, rtol=1e-9, atol=1e-15,
+                                   err_msg=name)
+
+
+def test_training_step_computes_only_real_tokens(monkeypatch):
+    """Layer norms and GELUs see the real tokens, then the last layer's
+    masked-query slots: never a PAD position."""
+    cfg = model.ModelConfig(num_layers=3)
+    lengths = [16, 9, 1, 12]
+    rng = np.random.default_rng(0)
+    corpus = [rng.integers(48, 84, size=n) for n in lengths]
+    rows_seen = {"gelu": [], "layer_norm": []}
+    for name, seen in rows_seen.items():
+        def counted(x, *args, op=getattr(nn, name), seen=seen):
+            seen.append(int(np.prod(x.shape[:-1])))
+            return op(x, *args)
+        monkeypatch.setattr(nn, name, counted)
+    model.train(corpus, cfg, model.TrainHyper(epochs=1, batch_size=len(lengths)))
+    real = sum(lengths)
+    queries = len(lengths) * max(math.ceil(0.15 * n) for n in lengths)
+    assert rows_seen["gelu"] == [real, real, queries]
+    assert rows_seen["layer_norm"] == [real] * 5 + [queries, queries]
 
 
 def test_small_batches_train_as_one_range():

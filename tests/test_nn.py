@@ -232,6 +232,58 @@ def test_gradient_attention_fewer_queries_than_keys():
     np.testing.assert_array_equal(v.grad[1, :, 1], 0.0)
 
 
+@pytest.mark.parametrize("layout", ["rows", "slots"])
+def test_packed_attention_matches_padded_blocks(layout):
+    rng = np.random.default_rng(13)
+    b, h, l, d = 2, 2, 4, 3
+    pad = np.array([[False, False, False, True], [False, True, False, False]])
+    n = int((~pad).sum())
+    k, v = (t64(rng.normal(size=(n, h * d))) for _ in range(2))
+    q = t64(rng.normal(size=(n, h * d) if layout == "rows" else (b, 3, h * d)))
+
+    def loss():
+        out = nn.reshape(nn.packed_attention(q, k, v, pad, h), (-1, h * d))
+        return nn.softmax_cross_entropy(out, np.arange(out.shape[0]) % (h * d))
+
+    loss().backward()
+    assert max_fd_rel_err(loss, {"q": q, "k": k, "v": v}) < 1e-6
+
+    def blocks(x):   # the padded [batch, heads, length, head_dim] layout
+        if x.ndim == 3:
+            return np.swapaxes(x.reshape(b, -1, h, d), 1, 2)
+        full = np.zeros((b, l, h * d))
+        full[~pad] = x
+        return np.swapaxes(full.reshape(b, l, h, d), 1, 2)
+
+    padded = nn.scaled_dot_product_attention(*(nn.Tensor(blocks(x.data)) for x in (q, k, v)),
+                                             pad).data
+    padded = np.swapaxes(padded, 1, 2).reshape(b, -1, h * d)
+    expected = padded[~pad] if layout == "rows" else padded
+    np.testing.assert_allclose(nn.packed_attention(q, k, v, pad, h).data, expected,
+                               rtol=1e-12, atol=1e-15)
+
+
+def test_packed_attention_rejects_mismatched_rows():
+    pad = np.array([[False, True]])
+    q, k = nn.Tensor(np.zeros((1, 4))), nn.Tensor(np.zeros((2, 4)))
+    with pytest.raises(nn.ShapeMismatch):
+        nn.packed_attention(q, k, k, pad, 2)       # two key rows for one real position
+    with pytest.raises(nn.ShapeMismatch):
+        nn.packed_attention(q, q, q, pad, 3)       # 4 features over 3 heads
+
+
+def test_row_gather_gradient_sums_repeated_ids():
+    rng = np.random.default_rng(14)
+    ids = rng.integers(0, 5, size=300)
+    g = rng.normal(size=(300, 4))
+    expected = np.zeros((7, 4))
+    np.add.at(expected, ids, g)
+    got = nn._segment_sum(ids, g, 7)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+    assert (got[5:] == 0).all()
+    assert not nn._segment_sum(ids[:0], g[:0], 3).any()
+
+
 def test_gradient_matmul_batched_and_weight_operands():
     rng = np.random.default_rng(12)
     x = t64(rng.normal(size=(2, 3, 4)))

@@ -307,6 +307,18 @@ def test_chunks_run_on_the_caller_under_a_tracer(monkeypatch, mini_params, trace
     assert got.tobytes() == plain.tobytes()
 
 
+@pytest.mark.parametrize("num_layers", [2, 4])
+@pytest.mark.parametrize("length", [16, 128, 384])
+def test_each_chunk_fits_its_worker_share_of_the_budget(num_layers, length):
+    # up to parallel.MAX_WORKERS chunks are in flight at once
+    config = model.ModelConfig(num_layers=num_layers)
+    share = (scoring._SCORING_BUDGET_MIB << 20) // parallel.MAX_WORKERS
+    width = config.ffn_dim if num_layers <= 2 else max(config.ffn_dim, config.num_heads * length)
+    per_variant = scoring._LIVE_COPIES * 4 * length * width   # live float32 activations
+    chunk = scoring._chunk_size(config, length, 4)
+    assert chunk * per_variant <= share < (chunk + 1) * per_variant
+
+
 def test_clip_that_fits_one_chunk_starts_no_thread(monkeypatch, mini_params):
     def forbidden(*args):
         raise AssertionError("a one-chunk clip must not start a thread or look up BLAS")
