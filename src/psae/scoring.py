@@ -29,7 +29,9 @@ from .quantize import PitchSequence
 # The chunk size follows from that share, the clip length and the widest
 # per-position activation.
 _SCORING_BUDGET_MIB = 64
-# Live copies of the widest activation during a chunk (gelu's temporaries).
+# Full-size copies of the widest activation a chunk may hold at once (for
+# the FFN: its input, gelu's Phi and output), with headroom. Chunk
+# boundaries, and so the scores' bits, follow from it.
 _LIVE_COPIES = 6
 # A corrected first-layer softmax term exp(s - rowmax) above e**_EXP_LIMIT
 # is not trusted; that entry is recomputed exactly.

@@ -1,11 +1,14 @@
 """Tensor primitives: forward values, exact gradients, AdamW behaviour."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
-from psae import nn
+from psae import model, nn, parallel, scoring
+from psae.quantize import GridUnit, PitchSequence
 from helpers import max_fd_rel_err, rel_err
 
 
@@ -53,6 +56,94 @@ def test_bounded_inputs_stay_finite():
     assert np.isfinite(nn.layer_norm(constant, gain, bias).data).all()
     loss = nn.softmax_cross_entropy(x, np.array([0]))
     assert np.isfinite(loss.data)
+
+
+# ----------------------------------------------------------------- gelu
+
+PHI_ATOL = 3e-7     # float32 Phi against the exact float64 value
+
+
+def phi64(x):
+    return special.ndtr(np.asarray(x, dtype=np.float64))
+
+
+def test_float32_phi_is_accurate_and_quiet_on_every_finite_input():
+    f = np.finfo(np.float32)
+    edges = [0.0, -0.0, f.smallest_subnormal, -f.smallest_subnormal, f.tiny, -f.tiny,
+             1e4, -1e4, f.max, -f.max]
+    x = np.concatenate([np.linspace(-10, 10, 400_001, dtype=np.float32),
+                        np.array(edges, np.float32)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cdf = nn._phi32(x)
+    assert cdf.dtype == np.float32
+    assert np.abs(cdf - phi64(x)).max() <= PHI_ATOL
+    assert np.isnan(nn._phi32(np.array([np.nan, 1.0], np.float32))[0])
+    np.testing.assert_array_equal(nn.gelu(nn.Tensor(x)).data, x * cdf)
+
+
+def test_float32_phi_shapes_and_block_edges():
+    block = nn._PHI_BLOCK
+    grid = np.linspace(-6, 6, 2 * block + 3, dtype=np.float32)
+    whole = nn._phi32(grid)
+    for n in (1, block - 1, block, block + 1):
+        assert nn._phi32(grid[:n]).tobytes() == whole[:n].tobytes()
+    assert nn._phi32(np.zeros((3, 0, 2), np.float32)).shape == (3, 0, 2)
+    scalar = nn.gelu(nn.Tensor(np.float32(1.5))).data
+    assert scalar.shape == () and scalar.dtype == np.float32
+    assert abs(scalar - 1.5 * phi64(1.5)) <= 1.5 * PHI_ATOL
+    view = nn.swap_axes(nn.Tensor(grid[:24].reshape(2, 3, 4)), 0, 2)   # non-contiguous
+    out = nn.gelu(view).data
+    assert out.shape == (4, 3, 2) and out.dtype == np.float32
+    assert out.tobytes() == nn.gelu(nn.Tensor(view.data.copy())).data.tobytes()
+
+
+def test_float32_gelu_is_thread_safe():
+    x = np.random.default_rng(30).normal(size=(3, nn._PHI_BLOCK + 5)).astype(np.float32)
+    serial = nn.gelu(nn.Tensor(x)).data.tobytes()
+    with parallel.Section() as section:
+        got = section.map([lambda: [nn.gelu(nn.Tensor(x)).data.tobytes() for _ in range(4)]] * 2,
+                          concurrent=True)
+    assert all(bits == serial for run in got for bits in run)
+
+
+def test_float32_gelu_gradient_matches_float64_formula():
+    x = np.linspace(-10, 10, 20_001, dtype=np.float32)
+    t = nn.Tensor(x, requires_grad=True)
+    nn.gelu(t).backward()
+    x64 = x.astype(np.float64)
+    exact = phi64(x64) + x64 * np.exp(-0.5 * x64 * x64) / math.sqrt(2 * math.pi)
+    assert t.grad.dtype == np.float32
+    assert np.abs(t.grad - exact).max() <= 1e-6
+
+
+def test_float64_gelu_keeps_the_exact_erf():
+    x = np.concatenate([np.random.default_rng(31).normal(scale=3, size=1000),
+                        np.linspace(-10, 10, 101)])
+    expected = x * (0.5 * (1 + special.erf(x / np.sqrt(2.0))))
+    assert nn.gelu(t64(x)).data.tobytes() == expected.tobytes()
+
+
+def test_float32_paths_never_call_scipy_erf(monkeypatch):
+    erf = nn.erf
+
+    def float64_only(z):
+        if np.asarray(z).dtype == np.float32:
+            raise AssertionError("float32 gelu reached scipy's erf")
+        return erf(z)
+
+    monkeypatch.setattr(nn, "erf", float64_only)
+    config = model.ModelConfig(embed_dim=8, hidden_dim=8, num_heads=2, ffn_dim=16,
+                               num_layers=2)
+    rng = np.random.default_rng(32)
+    corpus = [rng.integers(48, 72, size=24) for _ in range(4)]    # one batch: one step
+    result = model.train(corpus, config, model.TrainHyper(epochs=1, batch_size=4, seed=0))
+    assert math.isfinite(result.metadata["history"][0]["raw_loss"])
+    seq = PitchSequence(tokens=rng.integers(48, 72, size=20).astype(np.int16),
+                        grid=GridUnit.SIXTEENTH, source_id="guard")
+    params = model.init_model(config, 0)
+    assert params.tensors["ffn_in_weight"].dtype == np.float32
+    assert np.isfinite(scoring.note_probabilities(params, seq).probabilities).all()
 
 
 # ------------------------------------------------------------ attention
