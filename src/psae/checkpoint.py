@@ -7,6 +7,7 @@ are signed 64-bit; tensor data is row-major little-endian float32.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import fields
@@ -112,7 +113,7 @@ def load_checkpoint_bytes(data: bytes) -> Checkpoint:
         if rank > 8:
             raise CheckpointFormatError(f"implausible tensor rank {rank}")
         shape = struct.unpack(f"<{rank}I", reader.take(4 * rank))
-        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
+        count = math.prod(shape)   # cannot wrap, so take rejects a tensor past the end
         buf = reader.take(4 * count)
         data_arr = np.frombuffer(buf, dtype="<f4").reshape(shape).copy()
         tensors[name] = nn.Tensor(data_arr, requires_grad=True)

@@ -8,7 +8,8 @@ softmax cross-entropy, and runs the result through the flooding transform
 |l - b| + b so the loss cannot be driven to zero. forward computes only
 the real (non-PAD) positions, packed as rows; only the masked positions
 reach the loss, so training runs the last layer's queries and the head at
-those positions alone.
+those positions alone. _packed_block is the one encoder layer: forward,
+training and the scorer's later layers all run it.
 """
 
 from __future__ import annotations
@@ -170,27 +171,6 @@ def init_model(config: ModelConfig, rng: np.random.Generator | int) -> ModelPara
     return ModelParams(config, tensors)
 
 
-def _split_heads(config: ModelConfig, y: nn.Tensor) -> nn.Tensor:
-    """[batch, length, d] -> [batch, heads, length, d / heads]."""
-    b, l, d = y.shape
-    heads = config.num_heads
-    return nn.swap_axes(nn.reshape(y, (b, l, heads, d // heads)), 1, 2)
-
-
-def _merge_heads(y: nn.Tensor) -> nn.Tensor:
-    """[batch, heads, length, head_dim] -> [batch, length, heads * head_dim]."""
-    b, heads, l, head_dim = y.shape
-    return nn.reshape(nn.swap_axes(y, 1, 2), (b, l, heads * head_dim))
-
-
-def _rows(x: nn.Tensor, positions: np.ndarray) -> nn.Tensor:
-    """Rows positions[b, n] of each batch row of x: [batch, n, d]."""
-    b, n = positions.shape
-    batch_idx = np.repeat(np.arange(b), n)
-    picked = nn.gather_positions(x, batch_idx, positions.reshape(-1))
-    return nn.reshape(picked, (b, n, x.shape[-1]))
-
-
 def _embed(t: dict[str, nn.Tensor], tokens: np.ndarray,
            positions: np.ndarray | None = None) -> nn.Tensor:
     """Token plus position embedding; positions default to 0..length-1."""
@@ -214,36 +194,12 @@ def _attention_residual(t: dict[str, nn.Tensor], x: nn.Tensor, attn: nn.Tensor) 
     return nn.add(x, _project(t, attn, "out"))
 
 
-def _attention_sublayer(config: ModelConfig, t: dict[str, nn.Tensor], x: nn.Tensor,
-                        query_positions: np.ndarray | None = None) -> nn.Tensor:
-    """Pre-norm self-attention plus residual over x [batch, length, d].
-
-    With query_positions ([batch, n] ints) only those rows query: keys and
-    values still cover every row, and the output is [batch, n, d].
-    """
-    h = _attention_norm(t, x)
-    if query_positions is not None:
-        x = _rows(x, query_positions)
-    q = _project(t, h if query_positions is None else _rows(h, query_positions), "q")
-    k = _project(t, h, "k")
-    v = _project(t, h, "v")
-    attn = nn.scaled_dot_product_attention(_split_heads(config, q), _split_heads(config, k),
-                                           _split_heads(config, v))
-    return _attention_residual(t, x, _merge_heads(attn))
-
-
 def _ffn_sublayer(t: dict[str, nn.Tensor], x: nn.Tensor) -> nn.Tensor:
     """Pre-norm position-wise feed-forward plus residual."""
     h = nn.layer_norm(x, t["norm_ffn_gain"], t["norm_ffn_bias"])
     f = nn.gelu(nn.add_bias(nn.matmul(h, t["ffn_in_weight"]), t["ffn_in_bias"]))
     f = nn.add_bias(nn.matmul(f, t["ffn_out_weight"]), t["ffn_out_bias"])
     return nn.add(x, f)
-
-
-def _encoder_block(config: ModelConfig, t: dict[str, nn.Tensor], x: nn.Tensor,
-                   query_positions: np.ndarray | None = None) -> nn.Tensor:
-    """One layer over a [batch, length, d] block with no PAD (the scorer's)."""
-    return _ffn_sublayer(t, _attention_sublayer(config, t, x, query_positions))
 
 
 def _packed_block(config: ModelConfig, t: dict[str, nn.Tensor], x: nn.Tensor,

@@ -254,6 +254,7 @@ _ERF_P = np.float32(0.5) * np.array(
 _ERF_Q = np.array([-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
                    -7.37332916720468e-03, -1.42647390514189e-02], np.float32)
 _PHI_BLOCK = 1 << 15    # elements per pass: the four block buffers stay in L2
+_PDF_CLAMP = 40.0       # exp(-x^2 / 2) is exactly 0 past it in float32 and float64
 
 
 def _horner(s: np.ndarray, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -288,17 +289,27 @@ def gelu(x: Tensor) -> Tensor:
 
     float32 takes Phi from a rational erf within 3e-7 of the exact value;
     float64 keeps scipy's exact erf, which the gradient checks differentiate.
+    At -inf the output is its limit 0, and the gradient is 1 at inf and 0
+    at -inf.
     """
     xd = x.data
     if xd.dtype == np.float32:
         cdf = _phi32(xd)
     else:
         cdf = 0.5 * (1.0 + erf(xd / np.sqrt(xd.dtype.type(2.0))))
-    data = xd * cdf
+    data = np.maximum(xd, np.finfo(xd.dtype).min)   # -inf * Phi(-inf) would be nan
+    data *= cdf
 
     def backward(g):
-        pdf = np.exp(-0.5 * xd * xd) / np.sqrt(xd.dtype.type(2.0 * np.pi))
-        x._accumulate(g * (cdf + xd * pdf))
+        xc = np.clip(xd, -_PDF_CLAMP, _PDF_CLAMP)   # its square cannot overflow
+        pdf = np.square(xc, out=np.empty_like(xd))  # an array even when x is 0-d
+        pdf *= -0.5
+        np.exp(pdf, out=pdf)
+        pdf /= np.sqrt(xd.dtype.type(2.0 * np.pi))
+        pdf *= xc
+        pdf += cdf
+        pdf *= g
+        x._accumulate(pdf)
 
     return _make(data, (x,), backward)
 
@@ -418,7 +429,8 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
                                  padding_mask: np.ndarray | None = None) -> Tensor:
     """Softmax(q k^T / sqrt(d)) v over [batch, heads, length, head_dim], as
     one graph node. q may hold fewer rows than k and v (only some positions
-    query).
+    query). The model runs packed_attention; this dense form is the
+    reference the tests compare it against.
 
     padding_mask is a boolean [batch, keys] array, True at PAD positions;
     masked keys get an additive -1e9 before softmax, which underflows to an
@@ -454,12 +466,15 @@ def packed_attention(q: Tensor, k: Tensor, v: Tensor, padding_mask: np.ndarray,
     either the same n rows or [batch, queries, d] query slots. The node
     scatters the rows into zero-filled [batch, heads, length, d / heads]
     blocks, attends as scaled_dot_product_attention does (PAD keys get an
-    exactly-zero weight) and returns q's layout.
+    exactly-zero weight) and returns q's layout. When no position is PAD
+    the rows already form those blocks: they are reshaped in place and no
+    mask is applied.
     """
     padding_mask = np.asarray(padding_mask, dtype=bool)
     if padding_mask.ndim != 2:
         raise ShapeMismatch(f"packed attention: padding_mask must be 2-d, got {padding_mask.shape}")
     batch, length = padding_mask.shape
+    dense = not padding_mask.any()
     rows = np.nonzero(~padding_mask)
     n, d = len(rows[0]), q.shape[-1]
     slots = q.ndim == 3 and q.shape[0] == batch
@@ -469,7 +484,7 @@ def packed_attention(q: Tensor, k: Tensor, v: Tensor, padding_mask: np.ndarray,
     head_dim = d // heads
 
     def split(x: np.ndarray) -> np.ndarray:
-        if x.ndim == 3:
+        if x.ndim == 3 or dense:
             return np.swapaxes(x.reshape(batch, -1, heads, head_dim), 1, 2)
         blocks = np.zeros((batch, heads, length, head_dim), dtype=x.dtype)
         blocks[rows[0], :, rows[1]] = x.reshape(n, heads, head_dim)
@@ -478,9 +493,12 @@ def packed_attention(q: Tensor, k: Tensor, v: Tensor, padding_mask: np.ndarray,
     def merge(x: np.ndarray, ndim: int) -> np.ndarray:
         if ndim == 3:
             return np.swapaxes(x, 1, 2).reshape(batch, -1, d)
+        if dense:
+            return np.swapaxes(x, 1, 2).reshape(n, d)
         return x[rows[0], :, rows[1]].reshape(n, d)
 
-    data, grads = _attention(split(q.data), split(k.data), split(v.data), padding_mask)
+    data, grads = _attention(split(q.data), split(k.data), split(v.data),
+                             None if dense else padding_mask)
 
     def backward(g):
         for t, gt in zip((q, k, v), grads(split(g))):

@@ -19,8 +19,8 @@ import numpy as np
 from . import nn, parallel
 from .errors import PsaeError
 from .model import (Checkpoint, ModelConfig, ModelParams, _attention_norm,
-                    _attention_residual, _embed, _encoder_block, _ffn_sublayer, _head,
-                    _project, _split_heads, _untraced, check_tokens)
+                    _attention_residual, _embed, _ffn_sublayer, _head, _packed_block,
+                    _project, _untraced, check_tokens)
 from .model import forward  # noqa: F401  (perfbench/layers.py traces scoring.forward)
 from .quantize import PitchSequence
 
@@ -134,8 +134,8 @@ class _FirstLayer:
 
         def heads(x: nn.Tensor) -> list[np.ndarray]:
             h = _attention_norm(t, x)
-            return [_split_heads(config, _project(t, h, name)).data[0].astype(np.float64)
-                    for name in ("q", "k", "v")]
+            return [_project(t, h, name).data.reshape(-1, config.num_heads, head_dim)
+                    .transpose(1, 0, 2).astype(np.float64) for name in ("q", "k", "v")]
 
         self.q, self.k, self.v = heads(x)                  # [heads, L, head_dim]
         self.q_m, self.k_m, self.v_m = heads(x_masked)     # MASK at every position
@@ -151,8 +151,9 @@ class _FirstLayer:
         self.e_new = np.exp(np.minimum(shift, _EXP_LIMIT))
 
     def attention(self, idx: np.ndarray, valid: np.ndarray) -> np.ndarray:
-        """Merged-head attention output [variants, L, d] when variant b
-        masks the positions idx[b, valid[b]]."""
+        """Merged-head attention output as [variants * L, d] rows, variant
+        b's L rows in position order, when variant b masks the positions
+        idx[b, valid[b]]."""
         n_var = len(idx)
         n_heads, length, head_dim = self.q.shape
         weight = valid.astype(np.float64)
@@ -172,7 +173,7 @@ class _FirstLayer:
         heads, queries, variants = np.nonzero(exact)
         out[heads, queries, variants] = self._exact(heads, queries, idx[variants],
                                                      weight[variants])
-        return out.transpose(2, 1, 0, 3).reshape(n_var, length, n_heads * head_dim)
+        return out.transpose(2, 1, 0, 3).reshape(n_var * length, n_heads * head_dim)
 
     def _exact(self, heads: np.ndarray, queries: np.ndarray, masked: np.ndarray,
                weight: np.ndarray) -> np.ndarray:
@@ -208,11 +209,13 @@ def note_probabilities(model: Checkpoint | ModelParams, seq: PitchSequence,
     within the note, scoring musical notes instead of grid steps.
 
     The unmasked clip's first layer is computed once and corrected per
-    variant (see _FirstLayer); later layers run in full, except the last,
-    which queries only the masked positions. Variants run in chunks sized
-    by _chunk_size, dealt in consecutive pairs to a parallel.Section: each
-    chunk writes its own slice of the result, so the bits do not depend on
-    the CPU count, and a clip that fits one chunk runs on the caller alone.
+    variant (see _FirstLayer). Every later layer is model._packed_block,
+    the layer forward runs, over the chunk's variants packed as
+    [variants * L, d] rows with no PAD; the last one queries only the
+    masked positions. Variants run in chunks sized by _chunk_size, dealt in
+    consecutive pairs to a parallel.Section: each chunk writes its own
+    slice of the result, so the bits do not depend on the CPU count, and a
+    clip that fits one chunk runs on the caller alone.
     Under a tracer (model._untraced) the chunks run one after the other.
     Scoring reads the parameters' data only: it records no graph and
     leaves every .grad and requires_grad flag as it was.
@@ -240,13 +243,16 @@ def note_probabilities(model: Checkpoint | ModelParams, seq: PitchSequence,
         rows = np.arange(len(part))[:, None]
         x = np.repeat(x_base.data, len(part), axis=0)
         x[rows, idx] = x_masked.data[0, idx]
-        x = nn.Tensor(x)
+        x = nn.Tensor(x.reshape(-1, config.hidden_dim))
+        no_pad = np.zeros((len(part), len(tokens)), dtype=bool)
+        layers = range(config.num_layers)
         if first is not None:
             attn = nn.Tensor(first.attention(idx, valid).astype(x.dtype))
             x = _ffn_sublayer(t, _attention_residual(t, x, attn))
-            for _ in range(config.num_layers - 2):
-                x = _encoder_block(config, t, x)
-        x = _encoder_block(config, t, x, query_positions=idx)
+            layers = layers[1:]
+        for layer in layers:
+            last = layer == config.num_layers - 1
+            x = _packed_block(config, t, x, no_pad, rows * len(tokens) + idx if last else None)
         p = _softmax_rows(_head(t, x).data)
         p_true = np.take_along_axis(p, tokens[idx][..., None], axis=-1)[..., 0]
         probs[start:start + len(part)] = (p_true * valid).sum(axis=1) / valid.sum(axis=1)

@@ -610,6 +610,17 @@ def test_checkpoint_rejects_non_utf8_tensor_name():
         ckpt.load_checkpoint_bytes(resealed(blob, b"token_embedding", b"\xffoken_embedding"))
 
 
+@pytest.mark.parametrize("shape", [(2**31, 2**31, 4), (2**31, 2**31, 3)],
+                         ids=["wraps_to_zero", "wraps_negative"])
+def test_checkpoint_rejects_tensor_larger_than_the_file(shape):
+    import struct
+    blob = ckpt.save_checkpoint_bytes(model.Checkpoint(model.init_model(MINI, 0)))
+    stored = b"token_embedding" + struct.pack("<3I", 2, MINI.vocab_size, MINI.embed_dim)
+    huge = b"token_embedding" + struct.pack("<4I", 3, *shape)
+    with pytest.raises(ckpt.CheckpointFormatError):
+        ckpt.load_checkpoint_bytes(resealed(blob, stored, huge))
+
+
 def test_checkpoint_file_round_trip(tmp_path):
     result = model.Checkpoint(model.init_model(MINI, 7))
     path = tmp_path / "model.psae"

@@ -108,13 +108,25 @@ def test_float32_gelu_is_thread_safe():
 
 
 def test_float32_gelu_gradient_matches_float64_formula():
-    x = np.linspace(-10, 10, 20_001, dtype=np.float32)
+    huge = np.array([1e20, 3e38, np.inf], np.float32)
+    x = np.concatenate([np.linspace(-10, 10, 20_001, dtype=np.float32), huge, -huge])
     t = nn.Tensor(x, requires_grad=True)
-    nn.gelu(t).backward()
-    x64 = x.astype(np.float64)
+    out = nn.gelu(t)
+    out.backward()
+    x64 = x[:-6].astype(np.float64)
     exact = phi64(x64) + x64 * np.exp(-0.5 * x64 * x64) / math.sqrt(2 * math.pi)
     assert t.grad.dtype == np.float32
-    assert np.abs(t.grad - exact).max() <= 1e-6
+    assert np.abs(t.grad[:-6] - exact).max() <= 1e-6
+    np.testing.assert_array_equal(out.data[-6:], np.concatenate([huge, [0, 0, 0]]))
+    np.testing.assert_array_equal(t.grad[-6:], [1, 1, 1, 0, 0, 0])
+
+
+def test_float64_gelu_gradient_at_huge_inputs():
+    t = t64([1e200, -1e200])
+    out = nn.gelu(t)
+    out.backward()
+    np.testing.assert_array_equal(out.data, [1e200, 0])
+    np.testing.assert_array_equal(t.grad, [1, 0])
 
 
 def test_float64_gelu_keeps_the_exact_erf():
@@ -323,11 +335,13 @@ def test_gradient_attention_fewer_queries_than_keys():
     np.testing.assert_array_equal(v.grad[1, :, 1], 0.0)
 
 
-@pytest.mark.parametrize("layout", ["rows", "slots"])
-def test_packed_attention_matches_padded_blocks(layout):
+@pytest.mark.parametrize("layout, padded", [("rows", True), ("slots", True),
+                                            ("rows", False), ("slots", False)],
+                         ids=["rows", "slots", "rows-no_pad", "slots-no_pad"])
+def test_packed_attention_matches_padded_blocks(layout, padded):
     rng = np.random.default_rng(13)
     b, h, l, d = 2, 2, 4, 3
-    pad = np.array([[False, False, False, True], [False, True, False, False]])
+    pad = np.array([[False, False, False, True], [False, True, False, False]]) & padded
     n = int((~pad).sum())
     k, v = (t64(rng.normal(size=(n, h * d))) for _ in range(2))
     q = t64(rng.normal(size=(n, h * d) if layout == "rows" else (b, 3, h * d)))
