@@ -182,7 +182,7 @@ def _embed(t: dict[str, nn.Tensor], tokens: np.ndarray,
 
 def _project(t: dict[str, nn.Tensor], h: nn.Tensor, name: str) -> nn.Tensor:
     """One attention projection: name is q, k, v or out."""
-    return nn.add_bias(nn.matmul(h, t[f"attn_{name}_weight"]), t[f"attn_{name}_bias"])
+    return nn.matmul(h, t[f"attn_{name}_weight"], bias=t[f"attn_{name}_bias"])
 
 
 def _attention_norm(t: dict[str, nn.Tensor], x: nn.Tensor) -> nn.Tensor:
@@ -197,8 +197,8 @@ def _attention_residual(t: dict[str, nn.Tensor], x: nn.Tensor, attn: nn.Tensor) 
 def _ffn_sublayer(t: dict[str, nn.Tensor], x: nn.Tensor) -> nn.Tensor:
     """Pre-norm position-wise feed-forward plus residual."""
     h = nn.layer_norm(x, t["norm_ffn_gain"], t["norm_ffn_bias"])
-    f = nn.gelu(nn.add_bias(nn.matmul(h, t["ffn_in_weight"]), t["ffn_in_bias"]))
-    f = nn.add_bias(nn.matmul(f, t["ffn_out_weight"]), t["ffn_out_bias"])
+    f = nn.gelu(nn.matmul(h, t["ffn_in_weight"], bias=t["ffn_in_bias"]))
+    f = nn.matmul(f, t["ffn_out_weight"], bias=t["ffn_out_bias"])
     return nn.add(x, f)
 
 
@@ -221,7 +221,7 @@ def _packed_block(config: ModelConfig, t: dict[str, nn.Tensor], x: nn.Tensor,
 
 def _head(t: dict[str, nn.Tensor], x: nn.Tensor) -> nn.Tensor:
     h = nn.layer_norm(x, t["head_norm_gain"], t["head_norm_bias"])
-    return nn.add_bias(nn.matmul(h, t["head_weight"]), t["head_bias"])
+    return nn.matmul(h, t["head_weight"], bias=t["head_bias"])
 
 
 def check_tokens(config: ModelConfig, tokens: np.ndarray) -> None:
@@ -302,19 +302,33 @@ def pad_batch(token_rows: list[np.ndarray], pad_id: int) -> tuple[np.ndarray, np
     return out, out == pad_id
 
 
+def _token_rows(sequences, config: ModelConfig) -> list[np.ndarray]:
+    """Raw token rows as int64 arrays. A raw row holds pitches and REST
+    only: MASK and PAD are the batcher's to place, so any other id raises
+    UnknownToken."""
+    rows = [np.asarray(getattr(s, "tokens", s), dtype=np.int64) for s in sequences]
+    for i, row in enumerate(rows):
+        if row.size and (row.min() < 0 or row.max() > config.rest_id):
+            raise UnknownToken(
+                f"sequence {i}: raw token ids must lie in [0, {config.rest_id}], got "
+                f"[{row.min()}, {row.max()}]")
+    return rows
+
+
 def make_mlm_batch(sequences, config: ModelConfig, rng: np.random.Generator,
                    rate: float = 0.15, strategy: str = "mask") -> TrainingBatch:
     """Mask ceil(rate * eligible) positions per sequence, uniformly.
 
     Eligible means a pitch token: REST and PAD are never masked and never
-    become targets. strategy "mask" replaces every chosen position with
+    become targets. A row holding an id outside the pitches and REST
+    raises UnknownToken. strategy "mask" replaces every chosen position with
     MASK; "bert" uses the 80/10/10 mask/random/keep split.
     """
     if not 0.0 < rate < 1.0:
         raise ValueError(f"mask rate must be in (0, 1), got {rate}")
     if strategy not in MASK_STRATEGIES:
         raise ValueError(f"unknown mask strategy {strategy!r}")
-    rows = [np.asarray(getattr(s, "tokens", s), dtype=np.int64) for s in sequences]
+    rows = _token_rows(sequences, config)
     if not rows:
         raise nn.EmptyBatch("no sequences to batch")
     inputs, pad_mask = pad_batch(rows, config.pad_id)
@@ -520,7 +534,7 @@ def train(corpus, config: ModelConfig, hyper: TrainHyper,
     optional on_epoch callback.
     """
     hyper.validate()
-    rows = [np.asarray(getattr(s, "tokens", s), dtype=np.int64) for s in corpus]
+    rows = _token_rows(corpus, config)
     if not rows:
         raise nn.EmptyBatch("empty training corpus")
     params = init_model(config, hyper.seed)

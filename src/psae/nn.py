@@ -3,8 +3,9 @@
 A Tensor wraps a numpy float array. Every primitive records a backward
 closure on its output; Tensor.backward() replays the closures in reverse
 topological order, accumulates gradients into .grad buffers, and releases
-the graph. float32 is the working precision; float64 inputs are kept as-is
-so gradient checks can run in double precision.
+each node of the graph as soon as its closure has run. float32 is the
+working precision; float64 inputs are kept as-is so gradient checks can
+run in double precision.
 """
 
 from __future__ import annotations
@@ -69,9 +70,13 @@ class Tensor:
             self.grad += g
 
     def backward(self) -> None:
-        """Populate .grad on every ancestor that requires grad, then release
-        the recorded graph. Raises NoRecordedGraph if this tensor was not
-        produced by a recorded forward pass."""
+        """Populate .grad on every ancestor that requires grad, releasing
+        the recorded graph as the walk goes: a node drops its closure and
+        parents as soon as its closure has run, so a tensor the caller does
+        not hold is freed, .grad and all, once every node that reads it has
+        run. Tensors the caller holds keep their .grad. Raises
+        NoRecordedGraph if this tensor was not produced by a recorded
+        forward pass."""
         if self._backward is None:
             raise NoRecordedGraph("tensor has no recorded forward graph")
         topo: list[Tensor] = []
@@ -90,12 +95,12 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward(node.grad)
-        for node in topo:
-            node._parents = ()
             node._backward = None
+            node._parents = ()
 
     # Arithmetic sugar used by the loss plumbing. Scalars stay in the
     # tensor's own dtype so float32 graphs are not silently promoted.
@@ -197,14 +202,26 @@ def absolute(a: Tensor) -> Tensor:
     return _make(np.abs(a.data), (a,), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """a @ b, plus bias along the last axis when given.
+
+    bias is one value per column of a 2-d (weight) b. It is added in place
+    to the product, so no pre-bias product is kept, and its gradient is
+    the output gradient summed over every leading axis, as add's is.
+    """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeMismatch(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeMismatch(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
+    if bias is not None and (b.ndim != 2 or bias.shape != b.shape[-1:]):
+        raise ShapeMismatch(f"matmul: bias {bias.shape} needs a 2-d weight, got {b.shape}")
     data = np.matmul(a.data, b.data)
+    if bias is not None:
+        data += bias.data
 
     def backward(g):
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.shape))
         if b.ndim == 2:
             # b is a weight: fold every leading axis of a into one GEMM
             k, n = b.shape
@@ -221,7 +238,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
             b._accumulate(_unbroadcast(gb, b.shape))
 
-    return _make(data, (a, b), backward)
+    return _make(data, (a, b) if bias is None else (a, b, bias), backward)
 
 
 def add_bias(x: Tensor, bias: Tensor) -> Tensor:

@@ -8,6 +8,16 @@ inside its kernels. A Section pins numpy's bundled OpenBLAS to one thread
 or more tasks, and restores the old count when it closes. Nothing happens
 at import, no thread starts on one CPU, and without a known OpenBLAS the
 tasks run one after the other.
+
+A Section also asks glibc's malloc (mallopt, found through ctypes the same
+way) to keep SECTION_TOP_PAD bytes of freed heap instead of handing them
+back to the kernel: a training step frees and reallocates the same
+megabytes every step, and each page handed back faults in again. Closing
+the section sets glibc's default pad back. Setting the pad also stops
+glibc from raising its mmap threshold as large blocks are freed
+(mallopt(3)), for the rest of the process: the threshold stays where
+earlier frees left it. Where the C library has no mallopt, nothing is
+set.
 """
 
 from __future__ import annotations
@@ -21,6 +31,12 @@ from pathlib import Path
 import numpy as np
 
 MAX_WORKERS = 2
+
+# mallopt(3): M_TOP_PAD is the heap a trim keeps and a heap growth adds on
+# top; its documented default is 128 KiB.
+_M_TOP_PAD = -2
+_DEFAULT_TOP_PAD = 128 * 1024
+SECTION_TOP_PAD = 64 * 1024 * 1024
 
 # (set, get) thread-count symbols, newest OpenBLAS builds first.
 _OPENBLAS_SYMBOLS = (
@@ -75,14 +91,27 @@ def find_openblas() -> OpenBLAS | None:
     return None
 
 
+def find_mallopt():
+    """The C library's mallopt(param, value), or None where it has none."""
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):  # no handle on the running program here
+        return None
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return mallopt
+
+
 class Section:
     """Context manager inside which map() may run tasks concurrently.
 
     The first map of two or more tasks looks up OpenBLAS and pins it to one
     thread, and the first concurrent map starts the worker thread that
     later maps reuse (a new thread per map gets new malloc arenas and
-    OpenBLAS buffers). Leaving the section joins the worker and restores
-    the BLAS thread count, also on an exception.
+    OpenBLAS buffers). Entering sets glibc's heap pad to SECTION_TOP_PAD.
+    Leaving the section joins the worker, restores the BLAS thread count
+    and sets the pad back to glibc's default, also on an exception.
     """
 
     def __init__(self):
@@ -90,8 +119,12 @@ class Section:
         self._saved_threads: int | None = None
         self._looked_up = False
         self._pool: futures.ThreadPoolExecutor | None = None
+        self._mallopt = None
 
     def __enter__(self) -> "Section":
+        self._mallopt = find_mallopt()
+        if self._mallopt is not None:
+            self._mallopt(_M_TOP_PAD, SECTION_TOP_PAD)
         return self
 
     def __exit__(self, *exc) -> None:
@@ -102,6 +135,9 @@ class Section:
             self._blas.set_threads(self._saved_threads)
             self._saved_threads = None
         self._looked_up = False
+        if self._mallopt is not None:
+            self._mallopt(_M_TOP_PAD, _DEFAULT_TOP_PAD)
+            self._mallopt = None
 
     def _pin_blas(self) -> bool:
         """True once OpenBLAS runs on one thread inside this section."""

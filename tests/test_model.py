@@ -430,6 +430,17 @@ def test_mlm_batch_requires_eligible_positions():
         model.make_mlm_batch([np.arange(10)], cfg, np.random.default_rng(0), rate=1.5)
 
 
+@pytest.mark.parametrize("bad", [model.ModelConfig().mask_id, model.ModelConfig().pad_id, -1],
+                         ids=["mask", "pad", "negative"])
+def test_raw_rows_hold_only_pitches_and_rest(bad):
+    cfg = model.ModelConfig()
+    row = np.array([60, bad, 62, 64])
+    with pytest.raises(model.UnknownToken, match="sequence 1"):
+        model.make_mlm_batch([np.arange(4), row], cfg, np.random.default_rng(0))
+    with pytest.raises(model.UnknownToken):
+        model.train([row], cfg, model.TrainHyper(epochs=1))
+
+
 def test_mlm_batch_bert_strategy_keeps_targets():
     cfg = model.ModelConfig()
     tokens = np.arange(200) % 128

@@ -1,6 +1,7 @@
 """Tensor primitives: forward values, exact gradients, AdamW behaviour."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -260,6 +261,47 @@ def test_gradient_matmul_add_bias():
     assert max_fd_rel_err(loss, {"x": x, "w": w, "b": b}) < 1e-6
 
 
+@pytest.mark.parametrize("lead", [(6,), (2, 3)], ids=["rows", "query_slots"])
+def test_matmul_bias_is_bit_equal_to_add_bias(lead):
+    rng = np.random.default_rng(15)
+    xd, wd = rng.normal(size=lead + (8,)), rng.normal(size=(8, 5))
+    bd = rng.normal(size=5)
+
+    def run(fused):
+        x, w, b = (nn.Tensor(d.astype(np.float32), requires_grad=True) for d in (xd, wd, bd))
+        out = nn.matmul(x, w, bias=b) if fused else nn.add_bias(nn.matmul(x, w), b)
+        flat = nn.reshape(nn.gelu(out), (-1, 5))
+        nn.softmax_cross_entropy(flat, np.arange(flat.shape[0]) % 5).backward()
+        return [out.data, x.grad, w.grad, b.grad]
+
+    for got, want in zip(run(True), run(False)):
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("lead", [(3,), (2, 3)], ids=["rows", "query_slots"])
+def test_gradient_matmul_bias(lead):
+    rng = np.random.default_rng(16)
+    x = t64(rng.normal(size=lead + (4,)))
+    w = t64(rng.normal(size=(4, 3)))
+    b = t64(rng.normal(size=3))
+
+    def loss():
+        out = nn.reshape(nn.matmul(x, w, bias=b), (-1, 3))
+        return nn.softmax_cross_entropy(out, np.arange(out.shape[0]) % 3)
+
+    loss().backward()
+    assert max_fd_rel_err(loss, {"x": x, "w": w, "b": b}) < 1e-6
+
+
+def test_matmul_bias_shape_errors():
+    x = nn.Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(nn.ShapeMismatch):
+        nn.matmul(x, nn.Tensor(np.zeros((4, 5))), bias=nn.Tensor(np.zeros(4)))
+    with pytest.raises(nn.ShapeMismatch):
+        nn.matmul(x, nn.Tensor(np.zeros((2, 4, 5))), bias=nn.Tensor(np.zeros(5)))
+
+
 def test_gradient_layer_norm():
     rng = np.random.default_rng(6)
     x = t64(rng.normal(size=(4, 6)))
@@ -454,6 +496,28 @@ def test_backward_releases_graph():
     loss.backward()
     with pytest.raises(nn.NoRecordedGraph):
         loss.backward()
+
+
+def test_backward_frees_the_graph_as_it_walks():
+    mib = 1 << 20
+
+    def chain_loss():      # 16 float32 nodes of 1 MiB; only the loss is returned
+        h = nn.Tensor(np.linspace(-3, 3, mib // 4, dtype=np.float32).reshape(256, -1),
+                      requires_grad=True)
+        for _ in range(16):
+            h = nn.gelu(h)
+        return nn.softmax_cross_entropy(h, np.zeros(256, dtype=np.int64))
+
+    loss = chain_loss()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # keeping every interior gradient to the end of the walk costs 16 MiB
+    assert peak < 6 * mib
 
 
 def test_gradient_accumulates_across_backward_calls():

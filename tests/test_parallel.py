@@ -1,7 +1,8 @@
-"""Two-thread sections: order, errors, numpy error state, BLAS restore."""
+"""Two-thread sections: order, errors, numpy error state, BLAS and heap-pad restore."""
 
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -91,3 +92,27 @@ def test_section_pins_blas_lazily_and_restores_it_on_error():
             raise ValueError("leave the section")
     assert inside == [before, 1]
     assert blas.get_threads() == before
+
+
+def test_section_pads_the_heap_and_restores_glibcs_default_also_on_error(monkeypatch):
+    calls = []
+    monkeypatch.setattr(parallel, "find_mallopt",
+                        lambda: lambda param, value: calls.append((param, value)))
+    pad = (parallel._M_TOP_PAD, parallel.SECTION_TOP_PAD)
+    default = (parallel._M_TOP_PAD, 128 << 10)      # glibc's documented default
+    with parallel.Section():
+        assert calls == [pad]
+    assert calls == [pad, default]
+    calls.clear()
+    with pytest.raises(ValueError):
+        with parallel.Section():
+            raise ValueError("leave the section")
+    assert calls == [pad, default]
+
+
+def test_section_sets_nothing_without_mallopt(monkeypatch):
+    # a C library without the symbol: any call through it would raise
+    monkeypatch.setattr(parallel.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    assert parallel.find_mallopt() is None
+    with parallel.Section() as section:
+        assert section.map([lambda: 1]) == [1]
