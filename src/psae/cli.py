@@ -165,18 +165,20 @@ def cmd_train(corpus_dir: str, out_path: str, config_path: str | None = None,
     tokens = sum(len(s.tokens) for s in sequences)   # corpus rows hold no PAD
     metrics_lines: list[str] = []
     timing_lines: list[str] = []
-    epoch_start = time.perf_counter()
+    epoch_start, epoch_cpu = time.perf_counter(), time.process_time()
 
     def on_epoch(m: dict) -> None:
-        nonlocal epoch_start
-        now = time.perf_counter()
+        nonlocal epoch_start, epoch_cpu
+        now, cpu = time.perf_counter(), time.process_time()
         seconds, epoch_start = now - epoch_start, now
+        cpu_seconds, epoch_cpu = cpu - epoch_cpu, cpu
         line = (f"epoch={m['epoch']} raw_loss={m['raw_loss']:.6f} "
                 f"flooded_loss={m['flooded_loss']:.6f} "
                 f"masked_accuracy={m['masked_accuracy']:.6f}")
         metrics_lines.append(line)
         seconds = max(seconds, 1e-9)
         timing_lines.append(f"epoch={m['epoch']} seconds={seconds:.3f} "
+                            f"cpu_seconds={cpu_seconds:.3f} "
                             f"rows_per_s={len(sequences) / seconds:.1f} "
                             f"tokens_per_s={tokens / seconds:.1f}")
         print(line)
@@ -275,10 +277,11 @@ def render_report_text(report: EvalReport) -> str:
 def cmd_eval(model_path: str, manifest_path: str, output_dir: str,
              seed: int = 0) -> int:
     checkpoint = load_checkpoint(model_path)
-    start = time.perf_counter()
+    start, cpu_start = time.perf_counter(), time.process_time()
     report = evaluate_manifest(checkpoint, manifest_path,
                                scorer=lambda p: sequence_from_midi_path(p, seed=seed))
     seconds = time.perf_counter() - start
+    cpu_seconds = time.process_time() - cpu_start
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     text = render_report_text(report)
@@ -287,6 +290,7 @@ def cmd_eval(model_path: str, manifest_path: str, output_dir: str,
     # wall-clock numbers stay out of report.kv and report.txt, which are byte-deterministic
     _atomic_write(out_dir / "eval.timing",
                   f"clips={report.n_scored} skipped={report.n_skipped} seconds={seconds:.3f} "
+                  f"cpu_seconds={cpu_seconds:.3f} "
                   f"clips_per_s={report.n_scored / max(seconds, 1e-9):.2f} "
                   f"workers={parallel.worker_count()}\n")
     print(text, end="")

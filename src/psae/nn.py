@@ -270,7 +270,14 @@ _ERF_P = np.float32(0.5) * np.array(
      -7.34990630326855e-04, -2.95459980854025e-03, -1.60960333262415e-02], np.float32)
 _ERF_Q = np.array([-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
                    -7.37332916720468e-03, -1.42647390514189e-02], np.float32)
-_PHI_BLOCK = 1 << 15    # elements per pass: the four block buffers stay in L2
+# Elements per pass. A pass is about 26 short ufunc calls, and the GIL
+# changes hands between them, so two threads in _phi32 at once convoy on it
+# unless each call runs long enough. On a [3840, 352] float32 activation
+# (2-vCPU x86 VM, BLAS on one thread), one call takes 8 ms at 1 << 15 to
+# 1 << 17, and two concurrent calls 20 ms at 1 << 15, 13.5 ms at 1 << 16,
+# 11 ms at 1 << 17 and 14 ms at 1 << 18. Each element sees the same ufuncs
+# whatever the size, so the bits do not depend on it.
+_PHI_BLOCK = 1 << 17
 _PDF_CLAMP = 40.0       # exp(-x^2 / 2) is exactly 0 past it in float32 and float64
 
 

@@ -3,11 +3,13 @@
 The model's GEMMs are 64 wide, so OpenBLAS's own threads buy almost
 nothing, and an OpenBLAS worker spins on the second core after each GEMM.
 Coarse tasks on Python threads scale instead: numpy releases the GIL
-inside its kernels. A Section pins numpy's bundled OpenBLAS to one thread
-(found through ctypes, as threadpoolctl does) the first time it runs two
-or more tasks, and restores the old count when it closes. Nothing happens
-at import, no thread starts on one CPU, and without a known OpenBLAS the
-tasks run one after the other.
+inside its kernels. Each numpy call in a concurrent task must run long
+enough that the GIL handoffs between calls do not dominate. A Section
+pins numpy's bundled OpenBLAS to one thread (found through ctypes, as
+threadpoolctl does) the first time it runs two or more tasks, and
+restores the old count when it closes. Nothing happens at import, no
+thread starts on one CPU, and without a known OpenBLAS the tasks run one
+after the other.
 
 A Section also asks glibc's malloc (mallopt, found through ctypes the same
 way) to keep SECTION_TOP_PAD bytes of freed heap instead of handing them

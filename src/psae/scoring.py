@@ -212,11 +212,12 @@ def note_probabilities(model: Checkpoint | ModelParams, seq: PitchSequence,
     variant (see _FirstLayer). Every later layer is model._packed_block,
     the layer forward runs, over the chunk's variants packed as
     [variants * L, d] rows with no PAD; the last one queries only the
-    masked positions. Variants run in chunks sized by _chunk_size, dealt in
-    consecutive pairs to a parallel.Section: each chunk writes its own
-    slice of the result, so the bits do not depend on the CPU count, and a
-    clip that fits one chunk runs on the caller alone.
-    Under a tracer (model._untraced) the chunks run one after the other.
+    masked positions. Variants run in chunks sized by _chunk_size, and one
+    parallel.Section map per clip gives task w the chunks
+    starts[w::parallel.MAX_WORKERS], scored back to back: each chunk writes
+    its own slice of the result, so the bits do not depend on the CPU
+    count, and a clip that fits one chunk runs on the caller alone.
+    Under a tracer (model._untraced) the tasks run one after the other.
     Scoring reads the parameters' data only: it records no graph and
     leaves every .grad and requires_grad flag as it was.
     """
@@ -257,12 +258,15 @@ def note_probabilities(model: Checkpoint | ModelParams, seq: PitchSequence,
         p_true = np.take_along_axis(p, tokens[idx][..., None], axis=-1)[..., 0]
         probs[start:start + len(part)] = (p_true * valid).sum(axis=1) / valid.sum(axis=1)
 
+    def score_chunks(starts: range) -> None:
+        for start in starts:
+            score_chunk(start)
+
     starts = range(0, len(groups), chunk)
     with parallel.Section() as section:
-        for i in range(0, len(starts), parallel.MAX_WORKERS):
-            section.map([functools.partial(score_chunk, start)
-                         for start in starts[i:i + parallel.MAX_WORKERS]],
-                        concurrent=_untraced())
+        section.map([functools.partial(score_chunks, starts[w::parallel.MAX_WORKERS])
+                     for w in range(min(parallel.MAX_WORKERS, len(starts)))],
+                    concurrent=_untraced())
     first_steps = np.array([int(g[0]) for g in groups])
     return NoteProbabilities(probabilities=probs, positions=first_steps)
 

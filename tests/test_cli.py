@@ -187,9 +187,10 @@ def test_train_writes_timing_apart_from_metrics(tmp_path):
     rows, tokens = len(corpus), sum(len(s.tokens) for s in corpus)
     for epoch, line in enumerate(timing, start=1):
         fields = dict(kv.split("=", 1) for kv in line.split())
-        assert set(fields) == {"epoch", "seconds", "rows_per_s", "tokens_per_s"}
+        assert set(fields) == {"epoch", "seconds", "cpu_seconds", "rows_per_s", "tokens_per_s"}
         assert int(fields["epoch"]) == epoch
         assert float(fields["seconds"]) > 0 and float(fields["rows_per_s"]) > 0
+        assert float(fields["cpu_seconds"]) >= 0
         # every corpus token is real (non-PAD): tokens per row is the mean length
         assert float(fields["tokens_per_s"]) / float(fields["rows_per_s"]) == pytest.approx(
             tokens / rows, rel=5e-3)
@@ -384,9 +385,11 @@ def test_eval_writes_timing_apart_from_report(tmp_path):
                  "--out", str(out_dir)]) == 0
     (line,) = (out_dir / "eval.timing").read_text().splitlines()
     fields = dict(kv.split("=", 1) for kv in line.split())
-    assert list(fields) == ["clips", "skipped", "seconds", "clips_per_s", "workers"]
+    assert list(fields) == ["clips", "skipped", "seconds", "cpu_seconds", "clips_per_s",
+                            "workers"]
     assert (int(fields["clips"]), int(fields["skipped"])) == (4, 0)
     assert float(fields["seconds"]) > 0 and float(fields["clips_per_s"]) > 0
+    assert float(fields["cpu_seconds"]) >= 0
     assert int(fields["workers"]) == parallel.worker_count()
     report = evaluate_manifest(load_checkpoint(model_path), manifest,
                                scorer=lambda p: sequence_from_midi_path(p, seed=0))

@@ -99,6 +99,23 @@ def test_float32_phi_shapes_and_block_edges():
     assert out.tobytes() == nn.gelu(nn.Tensor(view.data.copy())).data.tobytes()
 
 
+def test_float32_phi_block_size_leaves_the_bits_alone(monkeypatch):
+    def run():
+        t = nn.Tensor(x, requires_grad=True)
+        out = nn.gelu(t)
+        out.backward()
+        return nn._phi32(x).tobytes(), out.data.tobytes(), t.grad.tobytes()
+
+    old_block = 1 << 15
+    size = 3 * max(nn._PHI_BLOCK, old_block) + 5      # three blocks or more at each size
+    rng = np.random.default_rng(32)
+    x = np.concatenate([np.linspace(-8, 8, size // 2, dtype=np.float32),
+                        rng.normal(scale=3, size=size - size // 2).astype(np.float32)])
+    default = run()
+    monkeypatch.setattr(nn, "_PHI_BLOCK", old_block)
+    assert run() == default
+
+
 def test_float32_gelu_is_thread_safe():
     x = np.random.default_rng(30).normal(size=(3, nn._PHI_BLOCK + 5)).astype(np.float32)
     serial = nn.gelu(nn.Tensor(x)).data.tobytes()

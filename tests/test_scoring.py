@@ -243,7 +243,7 @@ def test_chunks_give_the_same_bits_on_one_and_two_workers(monkeypatch, mini_para
                                         whole_notes))
     size = -(-n_groups // 5)                 # at most five chunks
     chunked(monkeypatch, size)
-    assert len(range(0, n_groups, size)) % 2 == 1   # the last map runs one task
+    assert len(range(0, n_groups, size)) % 2 == 1   # one task scores a chunk more
     monkeypatch.setattr(parallel, "worker_count", lambda: 2)
     two = note_probabilities(mini_params, seq, whole_notes).probabilities
     monkeypatch.setattr(parallel, "worker_count", lambda: 1)
@@ -251,6 +251,31 @@ def test_chunks_give_the_same_bits_on_one_and_two_workers(monkeypatch, mini_para
     assert two.tobytes() == one.tobytes()
     np.testing.assert_allclose(one, one_at_a_time(mini_params, seq, whole_notes),
                                rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("n_chunks", [4, 5])
+def test_one_map_per_clip_deals_its_chunks_to_two_tasks(monkeypatch, mini_params, n_chunks):
+    seq = sustained_notes(np.random.default_rng(24), 60)
+    n_groups = len(_scoreable_positions(np.asarray(seq.tokens), MINI.output_classes, False))
+    size = -(-n_groups // n_chunks)
+    assert len(range(0, n_groups, size)) == n_chunks
+    chunked(monkeypatch, size)
+    task_counts = []
+    section_map = parallel.Section.map
+
+    def spy(section, tasks, concurrent=True):
+        task_counts.append(len(tasks))
+        return section_map(section, tasks, concurrent)
+
+    monkeypatch.setattr(parallel.Section, "map", spy)
+    probs = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(parallel, "worker_count", lambda n=workers: n)
+        probs[workers] = note_probabilities(mini_params, seq).probabilities
+        assert task_counts == [2]
+        task_counts.clear()
+    assert probs[1].tobytes() == probs[2].tobytes()
+    np.testing.assert_allclose(probs[2], one_at_a_time(mini_params, seq), rtol=0, atol=1e-6)
 
 
 def test_scoring_restores_blas_threads_also_when_a_chunk_raises(monkeypatch, mini_params):
