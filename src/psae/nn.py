@@ -6,6 +6,12 @@ topological order, accumulates gradients into .grad buffers, and releases
 each node of the graph as soon as its closure has run. float32 is the
 working precision; float64 inputs are kept as-is so gradient checks can
 run in double precision.
+
+The ops that stream the largest arrays (attention over blocks of batch
+rows, gelu over blocks of elements) write into outputs allocated once and
+keep their temporaries to one cache-sized block. Every element sees the
+same ufuncs and GEMMs whatever the block size, so blocking never changes
+a bit.
 """
 
 from __future__ import annotations
@@ -270,13 +276,15 @@ _ERF_P = np.float32(0.5) * np.array(
      -7.34990630326855e-04, -2.95459980854025e-03, -1.60960333262415e-02], np.float32)
 _ERF_Q = np.array([-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
                    -7.37332916720468e-03, -1.42647390514189e-02], np.float32)
-# Elements per pass. A pass is about 26 short ufunc calls, and the GIL
-# changes hands between them, so two threads in _phi32 at once convoy on it
-# unless each call runs long enough. On a [3840, 352] float32 activation
-# (2-vCPU x86 VM, BLAS on one thread), one call takes 8 ms at 1 << 15 to
-# 1 << 17, and two concurrent calls 20 ms at 1 << 15, 13.5 ms at 1 << 16,
-# 11 ms at 1 << 17 and 14 ms at 1 << 18. Each element sees the same ufuncs
-# whatever the size, so the bits do not depend on it.
+# Elements per block of gelu and of its backward. A forward block is about
+# 28 short ufunc calls, and the GIL changes hands between them, so two
+# threads in gelu at once convoy on it unless each call runs long enough.
+# On a [3840, 352] float32 activation (2-vCPU x86 VM, BLAS on one thread),
+# one call takes 8 ms at 1 << 15 to 1 << 17, and two concurrent calls 20 ms
+# at 1 << 15, 13.5 ms at 1 << 16, 11 ms at 1 << 17 and 14 ms at 1 << 18.
+# A block's scratch (512 KiB of float32 per array) stays in L2 or L3 across
+# those calls. Each element sees the same ufuncs whatever the size, so the
+# bits do not depend on it.
 _PHI_BLOCK = 1 << 17
 _PDF_CLAMP = 40.0       # exp(-x^2 / 2) is exactly 0 past it in float32 and float64
 
@@ -290,52 +298,76 @@ def _horner(s: np.ndarray, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _phi32_block(x: np.ndarray, out: np.ndarray, scratch: list[np.ndarray]) -> np.ndarray:
+    """Phi(x) of a float32 block of at most _PHI_BLOCK elements into out,
+    using three scratch arrays of at least that size. The caller owns the
+    scratch: gelu runs on two threads at once."""
+    z, s, q = (a[:x.size] for a in scratch)
+    np.multiply(x, np.float32(np.sqrt(0.5)), out=z)
+    np.clip(z, -4.0, 4.0, out=z)        # before squaring: no overflow; NaN stays
+    np.multiply(z, z, out=s)
+    _horner(s, _ERF_P, out)
+    out *= z
+    out /= _horner(s, _ERF_Q, q)
+    out += np.float32(0.5)
+    return out
+
+
 def _phi32(x: np.ndarray) -> np.ndarray:
-    """Phi(x) of a float32 array, block by block, with scratch owned by the call."""
+    """Phi(x) of a float32 array, block by block."""
     flat = x.reshape(-1)
     out = np.empty(flat.shape, np.float32)
-    z, s, q = (np.empty(min(flat.size, _PHI_BLOCK), np.float32) for _ in range(3))
+    scratch = [np.empty(min(flat.size, _PHI_BLOCK), np.float32) for _ in range(3)]
     for lo in range(0, flat.size, _PHI_BLOCK):
-        p = out[lo:lo + _PHI_BLOCK]
-        zb, sb = z[:p.size], s[:p.size]
-        np.multiply(flat[lo:lo + p.size], np.float32(np.sqrt(0.5)), out=zb)
-        np.clip(zb, -4.0, 4.0, out=zb)      # before squaring: no overflow; NaN stays
-        np.multiply(zb, zb, out=sb)
-        _horner(sb, _ERF_P, p)
-        p *= zb
-        p /= _horner(sb, _ERF_Q, q[:p.size])
-        p += np.float32(0.5)
+        _phi32_block(flat[lo:lo + _PHI_BLOCK], out[lo:lo + _PHI_BLOCK], scratch)
     return out.reshape(x.shape)
 
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian-error-linear unit x * Phi(x).
 
-    float32 takes Phi from a rational erf within 3e-7 of the exact value;
-    float64 keeps scipy's exact erf, which the gradient checks differentiate.
-    At -inf the output is its limit 0, and the gradient is 1 at inf and 0
-    at -inf.
+    float32 takes Phi from a rational erf within 3e-7 of the exact value,
+    block by block straight into the output; it keeps Phi for backward only
+    when x requires grad, and otherwise holds one block of it. float64 keeps
+    scipy's exact erf, which the gradient checks differentiate. At -inf the
+    output is its limit 0, and the gradient is 1 at inf and 0 at -inf.
     """
     xd = x.data
+    flat = xd.reshape(-1)
+    n = flat.size
+    lowest = np.finfo(xd.dtype).min     # -inf * Phi(-inf) would be nan
+    data = np.empty(n, xd.dtype)
     if xd.dtype == np.float32:
-        cdf = _phi32(xd)
+        cdf = np.empty(n if x.requires_grad else min(n, _PHI_BLOCK), np.float32)
+        scratch = [np.empty(min(n, _PHI_BLOCK), np.float32) for _ in range(3)]
+        for lo in range(0, n, _PHI_BLOCK):
+            xb = flat[lo:lo + _PHI_BLOCK]
+            p = _phi32_block(xb, cdf[lo:lo + xb.size] if x.requires_grad else cdf[:xb.size],
+                             scratch)
+            d = np.maximum(xb, lowest, out=data[lo:lo + xb.size])
+            d *= p
     else:
-        cdf = 0.5 * (1.0 + erf(xd / np.sqrt(xd.dtype.type(2.0))))
-    data = np.maximum(xd, np.finfo(xd.dtype).min)   # -inf * Phi(-inf) would be nan
-    data *= cdf
+        cdf = 0.5 * (1.0 + erf(flat / np.sqrt(xd.dtype.type(2.0))))
+        np.maximum(flat, lowest, out=data)
+        data *= cdf
 
     def backward(g):
-        xc = np.clip(xd, -_PDF_CLAMP, _PDF_CLAMP)   # its square cannot overflow
-        pdf = np.square(xc, out=np.empty_like(xd))  # an array even when x is 0-d
-        pdf *= -0.5
-        np.exp(pdf, out=pdf)
-        pdf /= np.sqrt(xd.dtype.type(2.0 * np.pi))
-        pdf *= xc
-        pdf += cdf
-        pdf *= g
-        x._accumulate(pdf)
+        gflat = g.reshape(-1)
+        grad = np.empty(n, xd.dtype)
+        xc = np.empty(min(n, _PHI_BLOCK), xd.dtype)
+        for lo in range(0, n, _PHI_BLOCK):
+            hi = min(lo + _PHI_BLOCK, n)
+            c = np.clip(flat[lo:hi], -_PDF_CLAMP, _PDF_CLAMP, out=xc[:hi - lo])  # no overflow
+            pdf = np.square(c, out=grad[lo:hi])
+            pdf *= -0.5
+            np.exp(pdf, out=pdf)
+            pdf /= np.sqrt(xd.dtype.type(2.0 * np.pi))
+            pdf *= c
+            pdf += cdf[lo:hi]
+            pdf *= gflat[lo:hi]
+        x._accumulate(grad.reshape(xd.shape))
 
-    return _make(data, (x,), backward)
+    return _make(data.reshape(xd.shape), (x,), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -344,12 +376,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeMismatch(f"layer_norm: gain {gain.shape}/bias {bias.shape} vs features {d}")
     xd = x.data
-    mu = xd.mean(axis=-1, keepdims=True)
-    xc = xd - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + xd.dtype.type(eps))
-    xhat = xc * inv
-    data = xhat * gain.data + bias.data
+    xhat = xd - xd.mean(axis=-1, keepdims=True)     # centred until scaled below
+    sq = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(sq.mean(axis=-1, keepdims=True) + xd.dtype.type(eps))
+    xhat *= inv
+    # the dtype of xhat * gain + bias: a gain or bias wider than x widens it
+    dtype = np.result_type(xhat, gain.data, bias.data)
+    data = np.multiply(xhat, gain.data, out=sq if sq.dtype == dtype else np.empty_like(sq, dtype))
+    data += bias.data
 
     def backward(g):
         if gain.requires_grad:
@@ -357,9 +391,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         if bias.requires_grad:
             bias._accumulate(g.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
+            # inv * (gh - mean(gh) - xhat * mean(gh * xhat)), in gh's buffer.
+            # g has the output's dtype, so gh is at least as wide as xhat and
+            # inv and no in-place step narrows a result.
             gh = g * gain.data
-            x._accumulate(inv * (gh - gh.mean(axis=-1, keepdims=True)
-                                 - xhat * (gh * xhat).mean(axis=-1, keepdims=True)))
+            t = gh * xhat
+            b = t.mean(axis=-1, keepdims=True)
+            gh -= gh.mean(axis=-1, keepdims=True)
+            gh -= np.multiply(xhat, b, out=t)
+            gh *= inv
+            x._accumulate(gh)
 
     return _make(data, (x, gain, bias), backward)
 
@@ -419,32 +460,63 @@ def _segment_sum(ids: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
+# Score-matrix bytes per block of batch rows in _attention: two rows of
+# [4 heads, 128, 128] float32, so a block's scores, softmax and gradient
+# stay in L2 or L3 between passes instead of streaming through memory.
+_ATTENTION_BLOCK_BYTES = 512 * 1024
+
+
 def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                padding_mask: np.ndarray | None):
-    """Softmax(q k^T / sqrt(d)) v on [batch, heads, length, head_dim] arrays.
+    """Softmax(q k^T / sqrt(d)) v on [batch, heads, length, head_dim] arrays
+    of one dtype.
 
-    The scale is folded into q, the mask bias and the softmax run in place
-    on the score matrix, and only the attention weights are kept for
-    backward. Returns the output and a function that maps its gradient to
-    the gradients of q, k and v.
+    The scale is folded into q, and every pass runs over blocks of batch
+    rows of at most _ATTENTION_BLOCK_BYTES of scores, writing into arrays
+    allocated once: the mask bias and the softmax run in place on the
+    block's scores, and only the attention weights are kept for backward.
+    numpy's batched matmul runs one GEMM per [length, length] matrix, and
+    every ufunc and reduction acts within one row, so the bits do not
+    depend on the block size. Returns the output and a function that maps
+    its gradient to the gradients of q, k and v; the backward's only
+    score-sized scratch is one block.
     """
+    dtype = np.result_type(q, k, v)
+    batch, heads, lq, _ = q.shape
+    lk = k.shape[-2]
+    rows = max(1, _ATTENTION_BLOCK_BYTES // max(1, heads * lq * lk * dtype.itemsize))
+    blocks = [slice(lo, lo + rows) for lo in range(0, batch, rows)]
     scale = q.dtype.type(1.0 / np.sqrt(q.shape[-1]))
     qs = q * scale
-    p = np.matmul(qs, np.swapaxes(k, -1, -2))
+    kt = np.swapaxes(k, -1, -2)
+    bias = None
     if padding_mask is not None:
-        p += np.where(padding_mask, -1e9, 0.0).astype(q.dtype)[:, None, None, :]
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    out = np.matmul(p, v)
+        bias = np.where(padding_mask, -1e9, 0.0).astype(q.dtype)[:, None, None, :]
+    p = np.empty((batch, heads, lq, lk), dtype)
+    out = np.empty((batch, heads, lq, v.shape[-1]), dtype)
+    for b in blocks:
+        pb = np.matmul(qs[b], kt[b], out=p[b])
+        if bias is not None:
+            pb += bias[b]
+        pb -= pb.max(axis=-1, keepdims=True)
+        np.exp(pb, out=pb)
+        pb /= pb.sum(axis=-1, keepdims=True)
+        np.matmul(pb, v[b], out=out[b])
 
     def grads(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        gv = np.matmul(np.swapaxes(p, -1, -2), g)
-        # softmax backward: p * (g v^T - rowsum), rowsum_i = g_i . out_i
-        gs = np.matmul(g, np.swapaxes(v, -1, -2))
-        gs -= (g * out).sum(axis=-1, keepdims=True)
-        gs *= p
-        return np.matmul(gs, k) * scale, np.matmul(np.swapaxes(gs, -1, -2), qs), gv
+        gq, gk, gv = np.empty(q.shape, dtype), np.empty(k.shape, dtype), np.empty(v.shape, dtype)
+        vt = np.swapaxes(v, -1, -2)
+        scratch = np.empty((min(rows, batch), heads, lq, lk), dtype)
+        for b in blocks:
+            pb = p[b]
+            np.matmul(np.swapaxes(pb, -1, -2), g[b], out=gv[b])
+            # softmax backward: p * (g v^T - rowsum), rowsum_i = g_i . out_i
+            gs = np.matmul(g[b], vt[b], out=scratch[:len(pb)])
+            gs -= (g[b] * out[b]).sum(axis=-1, keepdims=True)
+            gs *= pb
+            np.multiply(np.matmul(gs, k[b], out=gq[b]), scale, out=gq[b])
+            np.matmul(np.swapaxes(gs, -1, -2), qs[b], out=gk[b])
+        return gq, gk, gv
 
     return out, grads
 

@@ -11,15 +11,20 @@ restores the old count when it closes. Nothing happens at import, no
 thread starts on one CPU, and without a known OpenBLAS the tasks run one
 after the other.
 
-A Section also asks glibc's malloc (mallopt, found through ctypes the same
-way) to keep SECTION_TOP_PAD bytes of freed heap instead of handing them
-back to the kernel: a training step frees and reallocates the same
-megabytes every step, and each page handed back faults in again. Closing
-the section sets glibc's default pad back. Setting the pad also stops
+A Section also tunes glibc's malloc (mallopt, found through ctypes the same
+way) so that activations land on pages that are already resident: a
+training step or a scoring chunk frees and reallocates the same megabytes
+over and over, and each page handed back to the kernel faults in again.
+Inside the section a trim keeps SECTION_TOP_PAD bytes of freed heap, and
+closing it sets glibc's default pad back. Entering also sets two
+thresholds for the rest of the process, since glibc cannot read them back:
+blocks below SECTION_MMAP_THRESHOLD come from the heap arenas (of both
+threads) instead of an mmap of their own, and a free trims an arena only
+once its free top exceeds SECTION_TRIM_THRESHOLD. Any mallopt call stops
 glibc from raising its mmap threshold as large blocks are freed
-(mallopt(3)), for the rest of the process: the threshold stays where
-earlier frees left it. Where the C library has no mallopt, nothing is
-set.
+(mallopt(3)), so without the first setting the threshold would stay where
+earlier frees happened to leave it. Where the C library has no mallopt,
+nothing is set.
 """
 
 from __future__ import annotations
@@ -34,11 +39,20 @@ import numpy as np
 
 MAX_WORKERS = 2
 
-# mallopt(3): M_TOP_PAD is the heap a trim keeps and a heap growth adds on
-# top; its documented default is 128 KiB.
+# mallopt(3) parameters. M_TOP_PAD is the heap a trim keeps and a heap
+# growth adds on top; its documented default is 128 KiB. A free trims the
+# top of a heap once it exceeds M_TRIM_THRESHOLD, and blocks of
+# M_MMAP_THRESHOLD bytes or more get an mmap of their own.
+_M_TRIM_THRESHOLD = -1
 _M_TOP_PAD = -2
+_M_MMAP_THRESHOLD = -3
 _DEFAULT_TOP_PAD = 128 * 1024
 SECTION_TOP_PAD = 64 * 1024 * 1024
+# The largest mmap threshold glibc takes on 64-bit systems, and twice it
+# for trimming: the pair glibc sets itself when a free raises its mmap
+# threshold.
+SECTION_MMAP_THRESHOLD = 32 * 1024 * 1024
+SECTION_TRIM_THRESHOLD = 2 * SECTION_MMAP_THRESHOLD
 
 # (set, get) thread-count symbols, newest OpenBLAS builds first.
 _OPENBLAS_SYMBOLS = (
@@ -111,9 +125,10 @@ class Section:
     The first map of two or more tasks looks up OpenBLAS and pins it to one
     thread, and the first concurrent map starts the worker thread that
     later maps reuse (a new thread per map gets new malloc arenas and
-    OpenBLAS buffers). Entering sets glibc's heap pad to SECTION_TOP_PAD.
-    Leaving the section joins the worker, restores the BLAS thread count
-    and sets the pad back to glibc's default, also on an exception.
+    OpenBLAS buffers). Entering sets glibc's heap pad to SECTION_TOP_PAD
+    and its mmap and trim thresholds, the last two for good. Leaving the
+    section joins the worker, restores the BLAS thread count and sets the
+    pad back to glibc's default, also on an exception.
     """
 
     def __init__(self):
@@ -127,6 +142,8 @@ class Section:
         self._mallopt = find_mallopt()
         if self._mallopt is not None:
             self._mallopt(_M_TOP_PAD, SECTION_TOP_PAD)
+            self._mallopt(_M_MMAP_THRESHOLD, SECTION_MMAP_THRESHOLD)
+            self._mallopt(_M_TRIM_THRESHOLD, SECTION_TRIM_THRESHOLD)
         return self
 
     def __exit__(self, *exc) -> None:

@@ -30,8 +30,9 @@ from .quantize import PitchSequence
 # per-position activation.
 _SCORING_BUDGET_MIB = 64
 # Full-size copies of the widest activation a chunk may hold at once (for
-# the FFN: its input, gelu's Phi and output), with headroom. Chunk
-# boundaries, and so the scores' bits, follow from it.
+# the FFN: its input and gelu's output; gelu keeps one block of Phi when
+# no graph is recorded), with headroom. Chunk boundaries, and so the
+# scores' bits, follow from it: keep it at 6.
 _LIVE_COPIES = 6
 # A corrected first-layer softmax term exp(s - rowmax) above e**_EXP_LIMIT
 # is not trusted; that entry is recomputed exactly.

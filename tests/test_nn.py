@@ -116,6 +116,27 @@ def test_float32_phi_block_size_leaves_the_bits_alone(monkeypatch):
     assert run() == default
 
 
+def test_float32_gelu_without_grad_gives_the_same_bytes():
+    x = np.random.default_rng(33).normal(scale=3, size=2 * nn._PHI_BLOCK + 7).astype(np.float32)
+    tracked = nn.gelu(nn.Tensor(x, requires_grad=True)).data
+    assert nn.gelu(nn.Tensor(x)).data.tobytes() == tracked.tobytes()
+
+
+def test_float32_gelu_without_grad_keeps_one_block_of_phi():
+    x = np.random.default_rng(34).normal(size=8 * nn._PHI_BLOCK + 5).astype(np.float32)
+    block = nn._PHI_BLOCK * x.itemsize
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = nn.gelu(nn.Tensor(x))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # the output, Phi's block and three blocks of scratch; a full-size Phi
+    # or temporary would add another x.nbytes = 8 blocks
+    assert peak < out.data.nbytes + 6 * block
+
+
 def test_float32_gelu_is_thread_safe():
     x = np.random.default_rng(30).normal(size=(3, nn._PHI_BLOCK + 5)).astype(np.float32)
     serial = nn.gelu(nn.Tensor(x)).data.tobytes()
@@ -319,6 +340,32 @@ def test_matmul_bias_shape_errors():
         nn.matmul(x, nn.Tensor(np.zeros((2, 4, 5))), bias=nn.Tensor(np.zeros(5)))
 
 
+@pytest.mark.parametrize("dtypes", [(np.float32,) * 3, (np.float64,) * 3,
+                                    (np.float32, np.float64, np.float32),
+                                    (np.float32, np.float32, np.float64)],
+                         ids=["f32", "f64", "f64-gain", "f64-bias"])
+def test_layer_norm_matches_the_direct_formula_bit_for_bit(dtypes):
+    rng = np.random.default_rng(18)
+    xd, gd, bd = (rng.normal(size=shape).astype(dt)
+                  for shape, dt in zip([(3, 5, 8), (8,), (8,)], dtypes))
+    g = rng.normal(size=(3, 5, 8)).astype(np.result_type(*dtypes))
+    x, gain, bias = (nn.Tensor(a, requires_grad=True) for a in (xd, gd, bd))
+    out = nn.layer_norm(x, gain, bias)
+    nn.mul(out, nn.Tensor(g)).backward()
+
+    xc = xd - xd.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + xd.dtype.type(1e-5))
+    xhat = xc * inv
+    expected = xhat * gd + bd
+    gh = g * gd
+    gx = inv * (gh - gh.mean(axis=-1, keepdims=True)
+                - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+    assert out.dtype == expected.dtype
+    assert out.data.tobytes() == expected.tobytes()
+    assert x.grad.tobytes() == gx.astype(xd.dtype).tobytes()
+    assert gain.grad.tobytes() == (g * xhat).reshape(-1, 8).sum(axis=0).astype(gd.dtype).tobytes()
+
+
 def test_gradient_layer_norm():
     rng = np.random.default_rng(6)
     x = t64(rng.normal(size=(4, 6)))
@@ -425,6 +472,60 @@ def test_packed_attention_matches_padded_blocks(layout, padded):
     expected = padded[~pad] if layout == "rows" else padded
     np.testing.assert_allclose(nn.packed_attention(q, k, v, pad, h).data, expected,
                                rtol=1e-12, atol=1e-15)
+
+
+def packed_inputs(dtype, layout, padded, seed=15):
+    """q, k, v rows and the pad mask of a packed_attention call over 5
+    batch rows, so blocks of 2 rows leave a partial last block."""
+    rng = np.random.default_rng(seed)
+    b, h, l, d = 5, 2, 6, 3
+    pad = (rng.random((b, l)) < 0.3) & padded
+    pad[:, 0] = False
+    n = int((~pad).sum())
+    k, v = (rng.normal(size=(n, h * d)).astype(dtype) for _ in range(2))
+    q = rng.normal(size=(n, h * d) if layout == "rows" else (b, 4, h * d)).astype(dtype)
+    return q, k, v, pad, h
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout, padded", [("rows", True), ("slots", True), ("rows", False)],
+                         ids=["rows", "slots", "rows-no_pad"])
+def test_attention_blocks_leave_the_bits_alone(monkeypatch, dtype, layout, padded):
+    q, k, v, pad, h = packed_inputs(dtype, layout, padded)
+    weight = np.random.default_rng(16).normal(size=q.shape).astype(dtype)
+
+    def run():
+        tq, tk, tv = (nn.Tensor(x, requires_grad=True) for x in (q, k, v))
+        out = nn.packed_attention(tq, tk, tv, pad, h)
+        nn.mul(out, nn.Tensor(weight)).backward()     # a gradient that is not all ones
+        return [t.tobytes() for t in (out.data, tq.grad, tk.grad, tv.grad)]
+
+    row = h * pad.shape[1] * (q.shape[1] if layout == "slots" else pad.shape[1]) * q.itemsize
+    runs = {}
+    for rows in (1, 2, 1 << 20):            # one batch row per block, two, one block for all
+        monkeypatch.setattr(nn, "_ATTENTION_BLOCK_BYTES", rows * row)
+        runs[rows] = run()
+    assert runs[1] == runs[2] == runs[1 << 20]
+
+
+def test_attention_backward_keeps_one_block_of_score_gradient():
+    rng = np.random.default_rng(17)
+    b, h, l, d = 8, 4, 256, 8
+    q, k, v = (nn.Tensor(rng.normal(size=(b, h, l, d)).astype(np.float32), requires_grad=True)
+               for _ in range(3))
+    out = nn.scaled_dot_product_attention(q, k, v)
+    scores = b * h * l * l * 4
+    assert nn._ATTENTION_BLOCK_BYTES < scores // 4
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out.backward()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # q, k and v gradients, their first-gradient copies and one block of
+    # scores (here one batch row); a full-size score gradient alone is more
+    assert peak < scores
 
 
 def test_packed_attention_rejects_mismatched_rows():

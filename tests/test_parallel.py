@@ -1,8 +1,12 @@
-"""Two-thread sections: order, errors, numpy error state, BLAS and heap-pad restore."""
+"""Two-thread sections: order, errors, numpy error state, BLAS and malloc settings."""
 
+import os
+import subprocess
+import sys
 import threading
 import time
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,15 +103,45 @@ def test_section_pads_the_heap_and_restores_glibcs_default_also_on_error(monkeyp
     monkeypatch.setattr(parallel, "find_mallopt",
                         lambda: lambda param, value: calls.append((param, value)))
     pad = (parallel._M_TOP_PAD, parallel.SECTION_TOP_PAD)
+    # set for the rest of the process: glibc cannot read them back
+    thresholds = [(parallel._M_MMAP_THRESHOLD, parallel.SECTION_MMAP_THRESHOLD),
+                  (parallel._M_TRIM_THRESHOLD, parallel.SECTION_TRIM_THRESHOLD)]
     default = (parallel._M_TOP_PAD, 128 << 10)      # glibc's documented default
     with parallel.Section():
-        assert calls == [pad]
-    assert calls == [pad, default]
+        assert calls == [pad, *thresholds]
+    assert calls == [pad, *thresholds, default]
     calls.clear()
     with pytest.raises(ValueError):
         with parallel.Section():
             raise ValueError("leave the section")
-    assert calls == [pad, default]
+    assert calls == [pad, *thresholds, default]
+
+
+FAULT_ROUNDS = """
+import resource
+import numpy as np
+from psae import parallel
+
+with parallel.Section():
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(100):
+        block = np.ones(1 << 20, np.float32)     # 4 MiB, every page written
+        del block
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_section_reuses_freed_pages_in_a_fresh_process():
+    # A fresh interpreter: no earlier free can have raised glibc's own
+    # mmap threshold. With each 4 MiB block mmapped anew, 100 rounds fault
+    # about 100 x 1024 pages in; reused, about one round's worth.
+    if parallel.find_mallopt() is None:
+        pytest.skip("no mallopt in this C library")
+    src = str(Path(parallel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", FAULT_ROUNDS], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert int(done.stdout) < 5000
 
 
 def test_section_sets_nothing_without_mallopt(monkeypatch):
