@@ -16,8 +16,9 @@ a bit.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import erf
 
 from .errors import PsaeError
 
@@ -108,8 +109,8 @@ class Tensor:
             node._backward = None
             node._parents = ()
 
-    # Arithmetic sugar used by the loss plumbing. Scalars stay in the
-    # tensor's own dtype so float32 graphs are not silently promoted.
+    # The operators of |l - b| + b in model.flooded_loss. Scalars stay in
+    # the tensor's own dtype so float32 graphs are not silently promoted.
     def _coerce(self, other) -> "Tensor":
         if isinstance(other, Tensor):
             return other
@@ -118,23 +119,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, self._coerce(other))
 
-    def __radd__(self, other):
-        return add(self._coerce(other), self)
-
     def __sub__(self, other):
         return add(self, neg(self._coerce(other)))
-
-    def __rsub__(self, other):
-        return add(self._coerce(other), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, self._coerce(other))
-
-    def __rmul__(self, other):
-        return mul(self._coerce(other), self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __abs__(self):
         return absolute(self)
@@ -269,6 +255,10 @@ def swap_axes(x: Tensor, axis1: int, axis2: int) -> Tensor:
     return _make(np.swapaxes(x.data, axis1, axis2), (x,), backward)
 
 
+# numpy has no erf. float64 gelu, which only the gradient checks run, takes
+# the C library's element by element.
+erf = np.vectorize(math.erf, otypes=[np.float64])
+
 # erf(z) = z P(z^2) / Q(z^2) on |z| <= 4 (Eigen's generic_fast_erf_float),
 # highest power first; P is halved so the quotient is erf(z) / 2.
 _ERF_P = np.float32(0.5) * np.array(
@@ -328,9 +318,10 @@ def gelu(x: Tensor) -> Tensor:
 
     float32 takes Phi from a rational erf within 3e-7 of the exact value,
     block by block straight into the output; it keeps Phi for backward only
-    when x requires grad, and otherwise holds one block of it. float64 keeps
-    scipy's exact erf, which the gradient checks differentiate. At -inf the
-    output is its limit 0, and the gradient is 1 at inf and 0 at -inf.
+    when x requires grad, and otherwise holds one block of it. float64 takes
+    the C library's erf element by element, which the gradient checks
+    differentiate. At -inf the output is its limit 0, and the gradient is 1
+    at inf and 0 at -inf.
     """
     xd = x.data
     flat = xd.reshape(-1)

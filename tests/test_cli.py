@@ -1,7 +1,11 @@
 """Command-line pipeline: formats, determinism, precedence, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -460,3 +464,14 @@ def test_mangled_corpus_and_checkpoint_exit_one(tmp_path, capsys):
     assert main(["score", "--model", str(bad_model),
                  "--midi", str(midi_dir / "clip000.mid")]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_importing_psae_loads_no_scipy():
+    # numpy is the one run-time dependency; scipy is only the tests' oracle.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = ("import sys, psae, psae.cli\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"

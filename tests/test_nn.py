@@ -171,16 +171,22 @@ def test_float64_gelu_gradient_at_huge_inputs():
 def test_float64_gelu_keeps_the_exact_erf():
     x = np.concatenate([np.random.default_rng(31).normal(scale=3, size=1000),
                         np.linspace(-10, 10, 101)])
-    expected = x * (0.5 * (1 + special.erf(x / np.sqrt(2.0))))
-    assert nn.gelu(t64(x)).data.tobytes() == expected.tobytes()
+    z = x / np.sqrt(2.0)
+    libm = np.array([math.erf(v) for v in z])
+    gelu = nn.gelu(t64(x)).data
+    assert gelu.tobytes() == (x * (0.5 * (1 + libm))).tobytes()
+    # scipy's erf is an independent oracle for the C library's.
+    oracle = special.erf(z)
+    assert (np.abs(libm - oracle) <= 2 * np.spacing(np.abs(oracle))).all()
+    assert np.abs(gelu - x * (0.5 * (1 + oracle))).max() <= 1e-15
 
 
-def test_float32_paths_never_call_scipy_erf(monkeypatch):
+def test_float32_paths_never_call_the_float64_erf(monkeypatch):
     erf = nn.erf
 
     def float64_only(z):
         if np.asarray(z).dtype == np.float32:
-            raise AssertionError("float32 gelu reached scipy's erf")
+            raise AssertionError("float32 gelu reached the float64 erf")
         return erf(z)
 
     monkeypatch.setattr(nn, "erf", float64_only)
