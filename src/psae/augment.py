@@ -133,20 +133,25 @@ def expand_sequence_detailed(seq: PitchSequence, policy: AugmentPolicy) -> list[
     provenance (deterministic for a given policy seed)."""
     rng = np.random.default_rng(derive_seed(policy.seed, seq.source_id))
     shifts = _pick_shifts(legal_shifts(seq), policy.transpositions_per_seq, rng)
-    variants = [AugmentedVariant(transpose(seq, s), seq.source_id, s) for s in shifts]
+    names = [f"{seq.source_id}#t{s:+d}" for s in shifts]
+    cuts = [None] * len(shifts)
     if policy.truncated_per_seq:
-        chosen = rng.choice(len(variants), size=policy.truncated_per_seq, replace=False)
-        for idx in sorted(int(c) for c in chosen):
-            variant = variants[idx]
-            if len(variant.sequence) < 2:
-                raise TruncationTooLarge(f"{variant.sequence.source_id!r} too short to truncate")
-            # short sequences keep k inside [1, len - 1] so they stay non-empty
-            hi = min(policy.truncation_max, len(variant.sequence) - 1)
-            lo = policy.truncation_min if len(variant.sequence) > policy.truncation_max else 1
-            k = int(rng.integers(lo, hi + 1))
-            variants[idx] = AugmentedVariant(random_truncate(variant.sequence, k),
-                                             seq.source_id, variant.shift, k)
-    return variants
+        chosen = np.sort(rng.choice(len(shifts), policy.truncated_per_seq, replace=False)).tolist()
+        if len(seq) < 2:
+            raise TruncationTooLarge(f"{names[chosen[0]]!r} too short to truncate")
+        # short sequences keep k inside [1, len - 1] so they stay non-empty
+        hi = min(policy.truncation_max, len(seq) - 1)
+        lo = policy.truncation_min if len(seq) > policy.truncation_max else 1
+        # scalar draws in index order: array bounds would consume the stream differently
+        for i in chosen:
+            cuts[i] = int(rng.integers(lo, hi + 1))
+    # one int16 row per shift, RESTs left in place; each variant views its own row
+    tokens = seq.tokens
+    block = tokens + np.where(tokens < PITCH_CLASSES, np.array(shifts, dtype=np.int16)[:, None], 0)
+    return [AugmentedVariant(PitchSequence(row[k:], seq.grid,
+                                           name if k is None else f"{name}#k{k}"),
+                             seq.source_id, shift, k)
+            for row, shift, name, k in zip(block, shifts, names, cuts)]
 
 
 def expand_sequence(seq: PitchSequence, policy: AugmentPolicy) -> list[PitchSequence]:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PsaeError
-from .quantize import GridUnit, PitchSequence
+from .quantize import REST_ID, GridUnit, PitchSequence
 
 TOKENS_SUFFIX = ".tokens"
 
@@ -22,8 +22,14 @@ class CorpusFormatError(PsaeError):
     pass
 
 
+_TOKEN_TEXT = {i: str(i) for i in range(REST_ID + 1)}  # any other id raises KeyError
+
+
 def format_sequence(seq: PitchSequence) -> str:
-    ids = " ".join(str(int(t)) for t in seq.tokens)
+    try:
+        ids = " ".join([_TOKEN_TEXT[t] for t in seq.tokens.tolist()])
+    except KeyError as exc:
+        raise CorpusFormatError(f"{seq.source_id!r}: token {exc.args[0]} outside 0..{REST_ID}")
     return f"{seq.source_id}\t{seq.grid.value}\t{ids}"
 
 

@@ -5,8 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from psae.augment import (AugmentError, AugmentPolicy, IllegalShift, NoPitchTokens,
-                          TruncationTooLarge, derive_seed, expand_corpus,
+from psae.augment import (AugmentedVariant, AugmentError, AugmentPolicy, IllegalShift,
+                          NoPitchTokens, TruncationTooLarge, derive_seed, expand_corpus,
                           expand_sequence, expand_sequence_detailed,
                           formula_shift_count, legal_shifts, random_truncate,
                           transpose)
@@ -247,3 +247,94 @@ def test_derive_seed_stable():
     assert derive_seed(5, "abc") == derive_seed(5, "abc")
     assert derive_seed(5, "abc") != derive_seed(6, "abc")
     assert derive_seed(5, "abc") != derive_seed(5, "abd")
+
+
+# ------------------------------------------------- expansion reference
+
+def reference_pick_shifts(shifts, count, rng):
+    nonzero = shifts[shifts != 0]
+    if len(nonzero) >= count - 1:
+        extra = rng.choice(nonzero, size=count - 1, replace=False)
+    else:
+        extra = rng.choice(shifts, size=count - 1, replace=True)
+    return sorted(int(s) for s in np.concatenate(([0], extra)))
+
+
+def reference_expansion(seq, policy):
+    """Expansion variant by variant, composing transpose and random_truncate,
+    with the draws expand_sequence_detailed makes, in the same order."""
+    rng = np.random.default_rng(derive_seed(policy.seed, seq.source_id))
+    shifts = reference_pick_shifts(legal_shifts(seq), policy.transpositions_per_seq, rng)
+    variants = [AugmentedVariant(transpose(seq, s), seq.source_id, s) for s in shifts]
+    if policy.truncated_per_seq:
+        chosen = rng.choice(len(variants), size=policy.truncated_per_seq, replace=False)
+        for idx in sorted(int(c) for c in chosen):
+            variant = variants[idx]
+            if len(variant.sequence) < 2:
+                raise TruncationTooLarge(f"{variant.sequence.source_id!r} too short to truncate")
+            hi = min(policy.truncation_max, len(variant.sequence) - 1)
+            lo = policy.truncation_min if len(variant.sequence) > policy.truncation_max else 1
+            k = int(rng.integers(lo, hi + 1))
+            variants[idx] = AugmentedVariant(random_truncate(variant.sequence, k),
+                                             seq.source_id, variant.shift, k)
+    return variants
+
+
+def expansion_outcome(expand, seq, policy):
+    try:
+        variants = expand(seq, policy)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(v.sequence.tokens.dtype, v.sequence.tokens.tobytes(), v.sequence.source_id,
+             v.sequence.grid, v.source_id, v.shift, v.truncation) for v in variants]
+
+
+def random_policy(rng, seed):
+    count = int(rng.integers(1, 41))
+    truncated = int(rng.choice([0, count, int(rng.integers(0, count + 1))]))
+    low = int(rng.integers(1, 60))
+    return AugmentPolicy(transpositions_per_seq=count, truncated_per_seq=truncated,
+                         truncation_min=low, truncation_max=int(rng.integers(low, 200)),
+                         seed=seed)
+
+
+def test_expansion_matches_reference_loop():
+    rng = np.random.default_rng(18)
+    cases = []
+    for i in range(200):
+        length = int(rng.choice([1, 2, 3, int(rng.integers(2, 120)), 384]))
+        cases.append((random_seq(rng, length=length, source_id=f"m{i}"),
+                      random_policy(rng, seed=i)))
+    grid32 = PitchSequence(tokens=np.array([60, REST_ID, 62], dtype=np.int16),
+                           grid=GridUnit.THIRTY_SECOND, source_id="g")
+    cases += [
+        (seq_of([64], "one"), AugmentPolicy(truncated_per_seq=0, seed=1)),
+        (seq_of([64], "one"), AugmentPolicy(seed=1)),                     # TruncationTooLarge
+        (seq_of([REST_ID, 64], "two"), AugmentPolicy(truncated_per_seq=31, seed=2)),
+        (seq_of([0, 127, 5], "narrow"), AugmentPolicy(seed=3)),           # with replacement
+        (seq_of([3, 120, REST_ID, 7], "narrowish"), AugmentPolicy(seed=4)),
+        (seq_of(list(range(30, 90)), "max>=len"),
+         AugmentPolicy(truncation_min=70, truncation_max=100, seed=5)),
+        (grid32, AugmentPolicy(truncated_per_seq=31, truncation_max=1, seed=6)),
+    ]
+    outcomes = set()
+    for seq, policy in cases:
+        want = expansion_outcome(reference_expansion, seq, policy)
+        assert expansion_outcome(expand_sequence_detailed, seq, policy) == want, seq.source_id
+        outcomes.add(type(want) if isinstance(want, list) else want[0])
+    assert outcomes == {list, TruncationTooLarge}
+
+
+def test_variants_share_no_tokens_with_each_other_or_source():
+    rng = np.random.default_rng(7)
+    seq = random_seq(rng, length=150, source_id="alias")
+    source = seq.tokens.copy()
+    variants = expand_sequence_detailed(seq, AugmentPolicy(seed=6))
+    assert {v.truncation is None for v in variants} == {True, False}
+    expected = [v.sequence.tokens.copy() for v in variants]
+    for i, variant in enumerate(variants):
+        variant.sequence.tokens[:] = REST_ID
+        expected[i][:] = REST_ID
+        assert (seq.tokens == source).all()
+        for v, want in zip(variants, expected):
+            assert (v.sequence.tokens == want).all()

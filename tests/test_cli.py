@@ -1,5 +1,6 @@
 """Command-line pipeline: formats, determinism, precedence, exit codes."""
 
+import hashlib
 import json
 import os
 import re
@@ -73,6 +74,21 @@ def test_corpus_parse_errors():
     with pytest.raises(CorpusFormatError):
         parse_sequence_line("a\t16th\t60 99999")
 
+
+
+def test_format_sequence_writes_every_id_as_decimal():
+    ids = np.arange(129, dtype=np.int16)
+    seq = PitchSequence(tokens=ids, grid=GridUnit.SIXTEENTH, source_id="all")
+    assert format_sequence(seq) == "all\t16th\t" + " ".join(str(i) for i in range(129))
+
+
+@pytest.mark.parametrize("bad", [-1, 129, 300])
+def test_format_sequence_rejects_out_of_range_token(bad):
+    seq = PitchSequence(tokens=np.array([60, 61, 62], dtype=np.int16),
+                        grid=GridUnit.SIXTEENTH, source_id="mutated#t+2")
+    seq.tokens[1] = bad   # tokens stay writable after validation
+    with pytest.raises(CorpusFormatError, match=rf"'mutated#t\+2'.*{bad}"):
+        format_sequence(seq)
 
 
 def test_corpus_file_not_utf8_rejected(tmp_path):
@@ -170,6 +186,38 @@ def test_augment_deterministic(tmp_path):
         main(["augment", "--in", str(tok), "--out", str(out), "--seed", "9"])
         blobs.append(b"".join(f.read_bytes() for f in sorted(out.glob("*.tokens"))))
     assert blobs[0] == blobs[1]
+
+
+# sha256 over the names and bytes of both augment runs' outputs below,
+# taken from the per-variant transpose/truncate loop augment first used
+AUGMENT_OUTPUT_SHA256 = "45ab6b7c0379677326d34956c2b3f7b350340a02d2b220ddac486fd83b82e83b"
+
+
+def test_augment_output_bytes_pinned(tmp_path):
+    rng = np.random.default_rng(18)
+    tok = tmp_path / "tok"
+    tok.mkdir()
+    for f in range(3):
+        lines = []
+        for i in range(4):
+            length = int(rng.choice([2, 3, 40, 101, 150, 384]))
+            low = int(rng.integers(0, 128))
+            tokens = rng.integers(low, min(low + int(rng.integers(1, 40)), 128), size=length)
+            tokens[rng.random(length) < 0.2] = 128
+            tokens[0] = low
+            grid = ("16th", "32nd")[int(rng.integers(2))]
+            lines.append(f"f{f}s{i}\t{grid}\t{' '.join(map(str, tokens))}\n")
+        (tok / f"f{f}.tokens").write_text("".join(lines), encoding="utf-8")
+    digest = hashlib.sha256()
+    for name, flags in (("default", []),
+                        ("custom", ["--transpositions", "9", "--truncated", "9",
+                                    "--trunc-min", "3", "--trunc-max", "20"])):
+        out = tmp_path / name
+        assert main(["augment", "--in", str(tok), "--out", str(out), "--seed", "5", *flags]) == 0
+        for path in sorted(out.iterdir()):
+            digest.update(f"{name}/{path.name}\n".encode())
+            digest.update(path.read_bytes())
+    assert digest.hexdigest() == AUGMENT_OUTPUT_SHA256
 
 
 # ------------------------------------------------------------------ train
