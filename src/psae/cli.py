@@ -1,8 +1,11 @@
 """Command-line pipeline: preprocess, augment, train, score, eval.
 
 Every command is deterministic under a fixed --seed and writes outputs to
-temporary names before an atomic rename. Per-file problems are soft: they
-are reported and counted, the command still exits 0; fatal errors exit 1.
+temporary names before an atomic rename. preprocess and augment keep those
+names in a private folder per process, under a hidden ``.psae-*`` folder of
+the output directory that the command removes: two processes creating files
+in one folder serialise on it. Per-file problems are soft: they are
+reported and counted, the command still exits 0; fatal errors exit 1.
 Config precedence for training is command-line flag > config file >
 built-in default.
 """
@@ -11,9 +14,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -22,7 +27,7 @@ from .augment import AugmentPolicy, expand_sequence_detailed
 from .checkpoint import load_checkpoint, save_checkpoint_bytes
 from .corpus import TOKENS_SUFFIX, format_corpus, read_corpus_dir, read_corpus_file
 from .errors import PsaeError
-from .model import ModelConfig, TrainHyper, train
+from .model import ModelConfig, TrainHyper, _untraced, train
 from .pipeline import sequence_from_midi_bytes, sequence_from_midi_path
 from .quantize import GridUnit
 from .scoring import EvalReport, evaluate_manifest, excerpt_score, note_probabilities
@@ -38,13 +43,26 @@ class ConfigError(PsaeError):
     pass
 
 
-def _atomic_write(path: Path, data: bytes | str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    if isinstance(data, str):
-        tmp.write_text(data, encoding="utf-8")
-    else:
-        tmp.write_bytes(data)
-    os.replace(tmp, path)
+def _atomic_write(path: Path, data: bytes | str, tmp_dir: Path | None = None) -> None:
+    """Write data to a temporary file in tmp_dir (default: path's folder),
+    then rename it to path. A failed write or rename removes the file."""
+    tmp = (tmp_dir or path.parent) / (path.name + ".tmp")
+    try:
+        if isinstance(data, str):
+            tmp.write_text(data, encoding="utf-8")
+        else:
+            tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _private_dir(tmp_root: Path) -> Path:
+    """This process's own folder for temporary files under tmp_root."""
+    folder = tmp_root / str(os.getpid())
+    folder.mkdir(exist_ok=True)
+    return folder
 
 
 # ---------------------------------------------------------------- config
@@ -85,28 +103,45 @@ def load_run_config(path: str | Path | None) -> dict:
 
 # ------------------------------------------------------------- commands
 
+def _preprocess_file(path: Path, out_dir: Path, tmp_root: Path, seed: int):
+    """One input of cmd_preprocess: (grid, None) once its tokens are
+    written, or (None, message) for a soft error."""
+    try:
+        seq = sequence_from_midi_bytes(path.read_bytes(), source_id=path.stem, seed=seed)
+    except PsaeError as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+    _atomic_write(out_dir / f"{path.stem}{TOKENS_SUFFIX}", format_corpus([seq]),
+                  _private_dir(tmp_root))
+    return seq.grid, None
+
+
 def cmd_preprocess(input_dir: str, output_dir: str, seed: int = 0) -> int:
     in_dir = Path(input_dir)
     files = sorted(p for p in in_dir.iterdir()
-                   if p.suffix.lower() in MIDI_SUFFIXES) if in_dir.is_dir() else []
+                   if p.suffix.lower() in MIDI_SUFFIXES and p.is_file()) if in_dir.is_dir() else []
     if not files:
         raise NoInputs(f"no MIDI files in {input_dir}")
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    first_of: dict[str, Path] = {}
+    for path in files:
+        first_of.setdefault(path.stem, path)
+    unique = [p for p in files if first_of[p.stem] is p]
+    with tempfile.TemporaryDirectory(dir=out_dir, prefix=".psae-") as tmp:
+        work = functools.partial(_preprocess_file, out_dir=out_dir, tmp_root=Path(tmp), seed=seed)
+        done = iter(parallel.process_map(work, unique, concurrent=_untraced()))
     grid_histogram = {g: 0 for g in GridUnit}
     errors: list[tuple[str, str]] = []
-    written = 0
     for path in files:
-        try:
-            seq = sequence_from_midi_bytes(path.read_bytes(), source_id=path.stem, seed=seed)
-        except PsaeError as exc:
-            errors.append((path.name, f"{type(exc).__name__}: {exc}"))
-            continue
-        _atomic_write(out_dir / f"{path.stem}{TOKENS_SUFFIX}",
-                      format_corpus([seq]))
-        grid_histogram[seq.grid] += 1
-        written += 1
-    summary = [f"inputs={len(files)}", f"written={written}", f"errors={len(errors)}"]
+        first = first_of[path.stem]
+        grid, message = next(done) if first is path else (
+            None, f"DuplicateStem: {first.name} already writes {path.stem}{TOKENS_SUFFIX}")
+        if message is None:
+            grid_histogram[grid] += 1
+        else:
+            errors.append((path.name, message))
+    summary = [f"inputs={len(files)}", f"written={len(files) - len(errors)}",
+               f"errors={len(errors)}"]
     summary += [f"grid_{g.value}={n}" for g, n in grid_histogram.items()]
     summary += [f"error file={name} message={msg}" for name, msg in errors]
     _atomic_write(out_dir / "preprocess_summary.txt", "\n".join(summary) + "\n")
@@ -116,28 +151,36 @@ def cmd_preprocess(input_dir: str, output_dir: str, seed: int = 0) -> int:
     return 0
 
 
+def _augment_file(path: Path, out_dir: Path, tmp_root: Path, policy: AugmentPolicy) -> list[str]:
+    """One input of cmd_augment: writes its variants and returns their
+    manifest lines."""
+    expanded, manifest = [], []
+    for seq in read_corpus_file(path):
+        for variant in expand_sequence_detailed(seq, policy):
+            expanded.append(variant.sequence)
+            manifest.append("\t".join((
+                variant.sequence.source_id, variant.source_id,
+                str(variant.shift),
+                "" if variant.truncation is None else str(variant.truncation))))
+    _atomic_write(out_dir / path.name, format_corpus(expanded), _private_dir(tmp_root))
+    return manifest
+
+
 def cmd_augment(input_dir: str, output_dir: str, policy: AugmentPolicy) -> int:
     in_dir = Path(input_dir)
-    files = sorted(in_dir.glob(f"*{TOKENS_SUFFIX}"))
+    files = [p for p in sorted(in_dir.glob(f"*{TOKENS_SUFFIX}")) if p.is_file()]
     if not files:
         raise NoInputs(f"no {TOKENS_SUFFIX} files in {input_dir}")
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=out_dir, prefix=".psae-") as tmp:
+        work = functools.partial(_augment_file, out_dir=out_dir, tmp_root=Path(tmp), policy=policy)
+        blocks = parallel.process_map(work, files, concurrent=_untraced())
     manifest = ["variant_id\tsource_id\tshift\ttruncation"]
-    total = 0
-    for path in files:
-        expanded = []
-        for seq in read_corpus_file(path):
-            for variant in expand_sequence_detailed(seq, policy):
-                expanded.append(variant.sequence)
-                manifest.append("\t".join((
-                    variant.sequence.source_id, variant.source_id,
-                    str(variant.shift),
-                    "" if variant.truncation is None else str(variant.truncation))))
-        _atomic_write(out_dir / path.name, format_corpus(expanded))
-        total += len(expanded)
+    for block in blocks:
+        manifest += block
     _atomic_write(out_dir / "augment_manifest.tsv", "\n".join(manifest) + "\n")
-    print(f"inputs={len(files)} variants={total}")
+    print(f"inputs={len(files)} variants={len(manifest) - 1}")
     return 0
 
 

@@ -1,4 +1,5 @@
-"""Run a few independent tasks on up to two threads, with BLAS single-threaded.
+"""Run a few independent tasks on up to two threads, with BLAS single-threaded,
+and per-file work on up to two forked processes (process_map).
 
 The model's GEMMs are 64 wide, so OpenBLAS's own threads buy almost
 nothing, and an OpenBLAS worker spins on the second core after each GEMM.
@@ -32,6 +33,7 @@ from __future__ import annotations
 import contextvars
 import ctypes
 import os
+import threading
 from concurrent import futures
 from pathlib import Path
 
@@ -193,3 +195,26 @@ class Section:
         finally:
             futures.wait(pending)
         return [first] + [f.result() for f in pending]
+
+
+def process_map(fn, items: list, concurrent: bool) -> list:
+    """[fn(item) for item in items], on worker_count() forked processes.
+
+    The processes run only with concurrent, two or more items and workers,
+    the fork start method and no other thread in this process: a fork
+    copies the calling thread alone, so a lock that another thread holds
+    would stay held in the child. fork, not spawn, because each command
+    makes a pool and a spawned worker imports numpy and psae again. fn and
+    the items go to the workers by pickle, so fn is a module-level function
+    or a partial of one. Results come in item order; the first item whose
+    call raises raises here once the workers have ended, and the items not
+    yet started are dropped. Otherwise fn runs here on each item in turn.
+    """
+    import multiprocessing  # here, so that importing psae does not load it
+    workers = min(worker_count(), len(items))
+    if (not concurrent or workers < 2 or threading.active_count() > 1
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(fn, items, chunksize=max(1, len(items) // (8 * workers))))

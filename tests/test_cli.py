@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -218,6 +219,126 @@ def test_augment_output_bytes_pinned(tmp_path):
             digest.update(f"{name}/{path.name}\n".encode())
             digest.update(path.read_bytes())
     assert digest.hexdigest() == AUGMENT_OUTPUT_SHA256
+
+
+# ------------------------------------------------------- worker processes
+
+def plant_bad_inputs(midi_dir):
+    """A file that is not MIDI, a second file with clip000's stem (it sorts
+    first, so it takes clip000.tokens) and a directory named like MIDI."""
+    (midi_dir / "broken.mid").write_bytes(b"not midi data")
+    (midi_dir / "clip000.MID").write_bytes((midi_dir / "clip001.mid").read_bytes())
+    (midi_dir / "folder.mid").mkdir()
+
+
+def test_preprocess_duplicate_stem_is_soft_error(tmp_path):
+    midi_dir = tmp_path / "midi"
+    write_midi_corpus(midi_dir, count=2)
+    plant_bad_inputs(midi_dir)
+    out = tmp_path / "tok"
+    assert main(["preprocess", "--in", str(midi_dir), "--out", str(out)]) == 0
+    summary = (out / "preprocess_summary.txt").read_text().splitlines()
+    assert summary[:3] == ["inputs=4", "written=2", "errors=2"]
+    assert summary[-1] == ("error file=clip000.mid message=DuplicateStem: "
+                           "clip000.MID already writes clip000.tokens")
+    assert sorted(p.name for p in out.glob("*.tokens")) == ["clip000.tokens", "clip001.tokens"]
+    # clip000.tokens holds clip000.MID's notes, a copy of clip001's
+    assert ((out / "clip000.tokens").read_text().split("\t")[1:]
+            == (out / "clip001.tokens").read_text().split("\t")[1:])
+
+
+def test_inputs_are_regular_files_only(tmp_path, capsys):
+    midi_dir = tmp_path / "midi"
+    write_midi_corpus(midi_dir, count=2)
+    (midi_dir / "folder.mid").mkdir()
+    tok, aug = tmp_path / "tok", tmp_path / "aug"
+    assert main(["preprocess", "--in", str(midi_dir), "--out", str(tok)]) == 0
+    assert (tok / "preprocess_summary.txt").read_text().startswith("inputs=2\nwritten=2\n")
+    (tok / "folder.tokens").mkdir()
+    capsys.readouterr()
+    assert main(["augment", "--in", str(tok), "--out", str(aug), "--seed", "0"]) == 0
+    assert capsys.readouterr().out == "inputs=2 variants=62\n"
+
+
+def test_atomic_write_removes_its_temp_file_on_failure(tmp_path):
+    with pytest.raises(UnicodeEncodeError):
+        cli._atomic_write(tmp_path / "text", "\ud800")
+    (tmp_path / "full" / "x").mkdir(parents=True)
+    with pytest.raises(IsADirectoryError):
+        cli._atomic_write(tmp_path / "full", b"bytes")
+    assert [p.name for p in tmp_path.iterdir()] == ["full"]
+
+
+def leftovers(directory):
+    return sorted(p.name for p in directory.iterdir()
+                  if p.name.startswith(".psae-") or p.name.endswith(".tmp"))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fatal_file_error_reports_first_file_and_leaves_nothing_behind(
+        tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.setattr(parallel, "worker_count", lambda: workers)
+    midi_dir = tmp_path / "midi"
+    write_midi_corpus(midi_dir, count=6)
+    tok = tmp_path / "tok"
+    for stem in ("clip001", "clip004"):   # a rename onto a non-empty directory fails
+        (tok / f"{stem}.tokens" / "x").mkdir(parents=True)
+    assert main(["preprocess", "--in", str(midi_dir), "--out", str(tok)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 21] ") and "clip001.tokens" in err
+    assert "clip004" not in err
+    assert multiprocessing.active_children() == []
+    assert leftovers(tok) == []
+
+    good = tmp_path / "good"
+    assert main(["preprocess", "--in", str(midi_dir), "--out", str(good)]) == 0
+    for name in ("clip002.tokens", "clip005.tokens"):
+        (good / name).write_text("bad\t16th\t60 99999\n", encoding="utf-8")
+    aug = tmp_path / "aug"
+    capsys.readouterr()
+    assert main(["augment", "--in", str(good), "--out", str(aug), "--seed", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "clip002.tokens:1: " in err and "clip005" not in err
+    assert multiprocessing.active_children() == []
+    assert leftovers(aug) == []
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_one_and_two_workers_write_the_same_bytes(tmp_path, monkeypatch, seed):
+    midi_dir = tmp_path / "midi"
+    write_midi_corpus(midi_dir, count=10)
+    plant_bad_inputs(midi_dir)
+    pids = tmp_path / "pids"
+    pids.mkdir()
+    private_dir = cli._private_dir
+
+    def recording_private_dir(tmp_root):
+        (pids / str(os.getpid())).touch()
+        return private_dir(tmp_root)
+
+    monkeypatch.setattr(cli, "_private_dir", recording_private_dir)
+    outputs = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(parallel, "worker_count", lambda w=workers: w)
+        out = tmp_path / f"workers{workers}"
+        for argv in (["preprocess", "--in", str(midi_dir), "--out", str(out / "tok")],
+                     ["augment", "--in", str(out / "tok"), "--out", str(out / "aug")]):
+            assert main([*argv, "--seed", str(seed)]) == 0
+            used = {p.name for p in pids.iterdir()}
+            for p in pids.iterdir():
+                p.unlink()
+            if workers == 1:
+                assert used == {str(os.getpid())}
+            else:
+                assert len(used) == 2 and str(os.getpid()) not in used
+        outputs[workers] = {p.relative_to(out).as_posix(): p.read_bytes()
+                            for p in sorted(out.glob("*/*"))}
+    assert outputs[1] == outputs[2]
+    assert len(outputs[1]) == 2 * (10 + 1)   # ten corpus files and a summary or manifest
+    summary = outputs[1]["tok/preprocess_summary.txt"].decode()
+    assert summary.startswith("inputs=12\nwritten=10\nerrors=2\n")
+    assert "error file=broken.mid message=" in summary
+    assert "error file=clip000.mid message=DuplicateStem: " in summary
 
 
 # ------------------------------------------------------------------ train
@@ -518,8 +639,10 @@ def test_importing_psae_loads_no_scipy():
     # numpy is the one run-time dependency; scipy is only the tests' oracle.
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    # multiprocessing loads only when preprocess or augment makes a pool
     probe = ("import sys, psae, psae.cli\n"
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             "print(sorted(m for m in sys.modules\n"
+             "             if m.split('.')[0] in ('scipy', 'multiprocessing')))")
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout == "[]\n"

@@ -34,3 +34,23 @@ def test_tracer_installs_on_psae_and_restores_every_name():
     for owner, saved in zip(owners, before):
         changed = [name for name, value in vars(owner).items() if saved.get(name) is not value]
         assert changed == [], f"{owner.__name__}: {changed} not restored"
+
+
+def test_traced_augment_runs_in_process_and_counts_every_row(tmp_path, monkeypatch):
+    # Counters recorded in a worker process would be lost, so a traced
+    # augment keeps every file in this process even with two workers.
+    monkeypatch.setattr(psae.parallel, "worker_count", lambda: 2)
+    tok = tmp_path / "tok"
+    tok.mkdir()
+    melody = " ".join(str(60 + i % 12) for i in range(150))
+    for i in range(3):
+        (tok / f"s{i}.tokens").write_text(f"s{i}\t16th\t{melody}\n", encoding="utf-8")
+    recorder = Recorder()
+    tracer = layers.Tracer(psae, recorder)
+    try:
+        tracer.install()
+        assert psae.cli.main(["augment", "--in", str(tok), "--out", str(tmp_path / "aug"),
+                              "--seed", "0"]) == 0
+    finally:
+        tracer.restore()
+    assert recorder.counters["augment.rows_out"] == 31 * 3
