@@ -423,7 +423,11 @@ def _masked_queries(mask_positions: np.ndarray, b_idx: np.ndarray,
     return query, slot
 
 
-# Batches under this many tokens (rows x length) train as one graph: two
+# Tokens (rows x length) per row range of a training step. A batch of T
+# tokens trains as ceil(T / SPLIT_MIN_TOKENS) ranges, at least two and at
+# most one per row, run one after another on each thread, so a step holds
+# one range's graph per thread whatever the batch: attention scores grow
+# with length squared per row. Batches under it train as one graph: two
 # half graphs double the per-op Python overhead, which only pays once the
 # numpy work per op is large enough to overlap on two threads. On a 2-vCPU
 # x86 VM a split step took 1.05x the one-graph time at 8 x 128 tokens,
@@ -454,27 +458,36 @@ class _RangeStep(NamedTuple):
 
 
 def _row_ranges(batch: TrainingBatch) -> list[slice]:
-    """The batch's fixed split: two halves from SPLIT_MIN_TOKENS up, else
-    one range. It depends on the batch alone, never on the CPU count."""
+    """The batch's fixed split into contiguous row ranges: one range below
+    SPLIT_MIN_TOKENS, else n = min(rows, max(2, ceil(tokens /
+    SPLIT_MIN_TOKENS))) ranges bounded at ceil(rows * i / n), so none holds
+    more than SPLIT_MIN_TOKENS + length tokens. It depends on the batch
+    alone, never on the CPU count."""
     rows, length = batch.input_tokens.shape
-    if rows < 2 or rows * length < SPLIT_MIN_TOKENS:
+    tokens = rows * length
+    if tokens < SPLIT_MIN_TOKENS:
         return [slice(0, rows)]
-    half = (rows + 1) // 2
-    return [slice(0, half), slice(half, rows)]
+    n = min(rows, max(2, -(-tokens // SPLIT_MIN_TOKENS)))
+    bounds = [-(-rows * i // n) for i in range(n + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _range_step(params: ModelParams, batch: TrainingBatch, rows: slice) -> _RangeStep:
     """One range's graph over views of params: shared .data, own .grad.
-    The last layer and the head run only at the masked positions, the only
-    rows the loss reads."""
+    The range's columns end at its last real position, so it pads only to
+    its own longest row. The last layer and the head run only at the
+    masked positions, the only rows the loss reads."""
     views = {name: nn.Tensor(t.data, requires_grad=True) for name, t in params.tensors.items()}
-    mask_positions = batch.mask_positions[rows]
+    pad = batch.pad_mask[rows]
+    width = int(np.flatnonzero(~pad.all(axis=0)).max(initial=0)) + 1
+    cols = (rows, slice(0, width))
+    mask_positions = batch.mask_positions[cols]
     b_idx, p_idx = np.nonzero(mask_positions)
     query, slot = _masked_queries(mask_positions, b_idx, p_idx)
-    logits = forward(ModelParams(params.config, views), batch.input_tokens[rows],
-                     batch.pad_mask[rows], query)
+    logits = forward(ModelParams(params.config, views), batch.input_tokens[cols],
+                     pad[:, :width], query)
     masked_logits = nn.gather_positions(logits, b_idx, slot)
-    masked_targets = batch.targets[rows][b_idx, p_idx]
+    masked_targets = batch.targets[cols][b_idx, p_idx]
     raw = nn.softmax_cross_entropy(masked_logits, masked_targets)
     correct = int((masked_logits.data.argmax(axis=1) == masked_targets).sum())
     if np.isfinite(raw.data):  # a non-finite loss stops training: no backward
@@ -496,14 +509,25 @@ def _batch_gradients(section: parallel.Section, params: ModelParams, batch: Trai
     loss's gradient in each parameter's .grad (untouched when the loss is
     not finite).
 
-    With raw_w the mean NLL of range w over its k_w of the batch's k
-    masked positions, the batch loss is raw = sum_w raw_w k_w / k, and
-    |raw - b| + b has the gradient sum_w sign(raw - b) (k_w / k) grad raw_w,
-    summed in range order. sign(0) = 0, as in nn.absolute.
+    Range i goes to lane i mod lanes, lanes = min(MAX_WORKERS, ranges):
+    each lane is one task that runs its ranges one after another, so a
+    thread holds one range's graph at a time. With raw_w the mean NLL of
+    range w over its k_w of the batch's k masked positions, the batch loss
+    is raw = sum_w raw_w k_w / k, and |raw - b| + b has the gradient
+    sum_w sign(raw - b) (k_w / k) grad raw_w, summed in range order.
+    sign(0) = 0, as in nn.absolute.
     """
-    steps = section.map([functools.partial(_range_step, params, batch, rows)
-                         for rows in _row_ranges(batch)],
-                        concurrent=_untraced())
+    ranges = _row_ranges(batch)
+    lanes = min(parallel.MAX_WORKERS, len(ranges))
+
+    def lane(w: int) -> list[_RangeStep]:
+        return [_range_step(params, batch, rows) for rows in ranges[w::lanes]]
+
+    steps: list[_RangeStep] = [None] * len(ranges)
+    for w, lane_steps in enumerate(section.map([functools.partial(lane, w)
+                                                for w in range(lanes)],
+                                               concurrent=_untraced())):
+        steps[w::lanes] = lane_steps
     k = sum(step.masked for step in steps)
     dtype = steps[0].raw.dtype.type
     raw = dtype(sum(float(step.raw) * step.masked for step in steps) / k)
@@ -525,9 +549,10 @@ def train(corpus, config: ModelConfig, hyper: TrainHyper,
     """Full MLM loop: shuffle, mask, forward, cross-entropy over masked
     positions, flooding, backward, AdamW. Deterministic per hyper.seed.
 
-    Each masked batch trains as fixed row ranges on up to two threads
-    (_batch_gradients); the split depends on the batch alone, so the
-    result does not depend on the CPU count.
+    Each masked batch trains as fixed row ranges of about SPLIT_MIN_TOKENS
+    tokens, dealt to up to two threads (_batch_gradients), so a step's
+    memory is bounded by the range size, not the batch; the split depends
+    on the batch alone, so the result does not depend on the CPU count.
 
     Per-epoch metrics (raw_loss, flooded_loss, masked_accuracy, all
     averaged over masked positions) go to metadata["history"] and to the

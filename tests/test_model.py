@@ -340,6 +340,90 @@ def test_small_batches_train_as_one_range():
     assert model._row_ranges(batch) == [slice(0, 4)]
 
 
+@pytest.mark.parametrize("rows, length", [(1, 384), (5, 384), (6, 384), (7, 300), (15, 128),
+                                          (16, 128), (17, 128), (40, 128), (64, 128),
+                                          (64, 256), (64, 384), (200, 9), (256, 8)])
+def test_row_ranges_split_by_token_budget(rows, length):
+    batch = model.TrainingBatch(np.zeros((rows, length), np.int64), *[None] * 3)
+    ranges = model._row_ranges(batch)
+    assert ranges[0].start == 0 and ranges[-1].stop == rows
+    assert all(a.stop == b.start for a, b in zip(ranges, ranges[1:]))
+    assert all(r.stop > r.start for r in ranges)
+    tokens = rows * length
+    if tokens < model.SPLIT_MIN_TOKENS:
+        assert ranges == [slice(0, rows)]
+    else:
+        assert len(ranges) == min(rows, max(2, math.ceil(tokens / model.SPLIT_MIN_TOKENS)))
+    assert max((r.stop - r.start) * length for r in ranges) <= model.SPLIT_MIN_TOKENS + length
+
+
+def test_each_range_pads_only_to_its_own_longest_row(monkeypatch):
+    rng = np.random.default_rng(2)
+    rows = -(-model.SPLIT_MIN_TOKENS // MINI.max_position) + 1
+    lengths = np.full(rows, MINI.max_position)
+    lengths[(rows + 1) // 2:] = rng.integers(1, 6, size=rows // 2)
+    lengths[-1] = 5
+    batch = masked_batch(MINI, rng.integers(0, 9, size=(rows, MINI.max_position)), lengths, rng)
+    widths = []
+
+    def recording(params, tokens, *args, forward=model.forward):
+        widths.append(tokens.shape[1])
+        return forward(params, tokens, *args)
+
+    monkeypatch.setattr(model, "forward", recording)
+    with parallel.Section() as section:
+        model._batch_gradients(section, model.init_model(MINI, 7), batch, 0.05)
+    assert sorted(widths) == [5, MINI.max_position]
+
+
+def test_step_memory_is_bounded_by_the_range(monkeypatch):
+    """A serial step at 64 x 384 holds about what one at 8 x 384 does: the
+    batch trains as ranges of about SPLIT_MIN_TOKENS tokens, one at a time."""
+    import tracemalloc
+    monkeypatch.setattr(parallel, "worker_count", lambda: 1)
+    cfg = model.ModelConfig()
+    rng = np.random.default_rng(0)
+
+    def peak(rows):
+        batch = model.make_mlm_batch([rng.integers(48, 84, size=384) for _ in range(rows)],
+                                     cfg, rng)
+        params = model.init_model(cfg, 0)
+        with parallel.Section() as section:
+            tracemalloc.start()
+            try:
+                model._batch_gradients(section, params, batch, 0.05)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    assert peak(64) <= 2 * peak(8)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_range_step_gradients_own_their_buffers(monkeypatch, dtype):
+    """Every gradient of a range step, parameter views and interior tensors
+    held alive, is its own buffer in its tensor's dtype."""
+    kept = []
+
+    def keep(data, parents, backward, make=nn._make):
+        out = make(data, parents, backward)
+        kept.append(out)
+        return out
+
+    monkeypatch.setattr(nn, "_make", keep)
+    rng = np.random.default_rng(0)
+    batch = masked_batch(MINI, rng.integers(0, 9, size=(4, 8)), np.array([8, 3, 5, 1]), rng)
+    params = model.init_model(MINI, 7).cast(dtype)
+    step = model._range_step(params, batch, slice(0, 4))
+    pairs = [(g, params.tensors[name]) for name, g in step.grads.items()]
+    pairs += [(t.grad, t) for t in kept if t.requires_grad]
+    assert all(g is not None and g.dtype == t.dtype for g, t in pairs)
+    grads = [g for g, _ in pairs]
+    for i, gi in enumerate(grads):
+        for gj in grads[i + 1:]:
+            assert not np.shares_memory(gi, gj)
+
+
 def test_shared_layer_is_single_parameter_set():
     params = model.init_model(model.ModelConfig(num_layers=4), 0)
     assert len(params.tensors) == len(model.param_shapes(model.ModelConfig()))
@@ -529,7 +613,7 @@ def test_train_aborts_on_non_finite_loss():
 
 
 def test_train_bytes_independent_of_worker_count(monkeypatch):
-    # two halves of 26 ragged rows: OpenBLAS's thread count changes the
+    # four ranges of 13 ragged rows: OpenBLAS's thread count changes the
     # rounding of some of their GEMMs, so a serial split must pin it too
     rng = np.random.default_rng(0)
     corpus = [rng.integers(48, 84, size=rng.integers(64, 129)) for _ in range(52)]
@@ -543,6 +627,20 @@ def test_train_bytes_independent_of_worker_count(monkeypatch):
     concurrent = model.train(corpus, model.ModelConfig(), hyper, on_epoch=on_epoch)
     if blas is not None:
         assert threads_seen == [1]      # the batch was split, BLAS pinned
+    monkeypatch.setattr(parallel, "worker_count", lambda: 1)
+    serial = model.train(corpus, model.ModelConfig(), hyper)
+    assert ckpt.save_checkpoint_bytes(concurrent) == ckpt.save_checkpoint_bytes(serial)
+    assert concurrent.metadata == serial.metadata
+
+
+def test_odd_range_split_bytes_independent_of_worker_count(monkeypatch):
+    # three ranges on two lanes: the first lane runs ranges 0 and 2
+    rng = np.random.default_rng(1)
+    corpus = [rng.integers(48, 84, size=n) for n in [128] + list(rng.integers(64, 129, 39))]
+    hyper = model.TrainHyper(epochs=1, seed=3)
+    batch = model.make_mlm_batch(corpus, model.ModelConfig(), rng)
+    assert len(model._row_ranges(batch)) == 3
+    concurrent = model.train(corpus, model.ModelConfig(), hyper)
     monkeypatch.setattr(parallel, "worker_count", lambda: 1)
     serial = model.train(corpus, model.ModelConfig(), hyper)
     assert ckpt.save_checkpoint_bytes(concurrent) == ckpt.save_checkpoint_bytes(serial)
