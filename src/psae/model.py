@@ -523,11 +523,9 @@ def _batch_gradients(section: parallel.Section, params: ModelParams, batch: Trai
     def lane(w: int) -> list[_RangeStep]:
         return [_range_step(params, batch, rows) for rows in ranges[w::lanes]]
 
-    steps: list[_RangeStep] = [None] * len(ranges)
-    for w, lane_steps in enumerate(section.map([functools.partial(lane, w)
-                                                for w in range(lanes)],
-                                               concurrent=_untraced())):
-        steps[w::lanes] = lane_steps
+    done = section.map([functools.partial(lane, w) for w in range(lanes)],
+                       concurrent=_untraced())
+    steps = [done[i % lanes][i // lanes] for i in range(len(ranges))]
     k = sum(step.masked for step in steps)
     dtype = steps[0].raw.dtype.type
     raw = dtype(sum(float(step.raw) * step.masked for step in steps) / k)
