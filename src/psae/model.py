@@ -427,11 +427,9 @@ def _masked_queries(mask_positions: np.ndarray, b_idx: np.ndarray,
 # tokens trains as ceil(T / SPLIT_MIN_TOKENS) ranges, at least two and at
 # most one per row, run one after another on each thread, so a step holds
 # one range's graph per thread whatever the batch: attention scores grow
-# with length squared per row. Batches under it train as one graph: two
-# half graphs double the per-op Python overhead, which only pays once the
-# numpy work per op is large enough to overlap on two threads. On a 2-vCPU
-# x86 VM a split step took 1.05x the one-graph time at 8 x 128 tokens,
-# 0.89x at 16 x 128 and 0.68x at 64 x 128.
+# with length squared per row. Batches under it train as one graph: every
+# extra range repeats each op's Python overhead, which only pays once the
+# numpy work per op is large enough to overlap on two threads.
 SPLIT_MIN_TOKENS = 2048
 
 # A tracer that wraps psae's functions from outside (perfbench/layers.py

@@ -69,10 +69,12 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
-        # The first gradient is kept as it is only when the closure owns g,
-        # an array it has just allocated for this tensor alone. Otherwise it
-        # is copied: add hands the same array to two parents, and reshape a
-        # view of its own input, which a later += would write through.
+        # A closure passes owned=True when it allocated g itself, for this
+        # tensor alone; that g becomes the first gradient without a copy
+        # (a dtype mismatch still casts). Every op but add, reshape and
+        # swap_axes does: add hands its own input g to both parents, and
+        # reshape and swap_axes a view of it, which a later += would write
+        # through, so those first gradients are copied.
         if self.grad is None:
             self.grad = (g if owned and g.dtype == self.data.dtype
                          else np.array(g, dtype=self.data.dtype))
@@ -170,7 +172,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def neg(a: Tensor) -> Tensor:
     def backward(g):
-        a._accumulate(-g)
+        a._accumulate(-g, owned=True)
 
     return _make(-a.data, (a,), backward)
 
@@ -183,16 +185,16 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
+            a._accumulate(_unbroadcast(g * b.data, a.shape), owned=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
+            b._accumulate(_unbroadcast(g * a.data, b.shape), owned=True)
 
     return _make(data, (a, b), backward)
 
 
 def absolute(a: Tensor) -> Tensor:
     def backward(g):
-        a._accumulate(np.sign(a.data) * g)
+        a._accumulate(np.sign(a.data) * g, owned=True)
 
     return _make(np.abs(a.data), (a,), backward)
 
@@ -406,7 +408,7 @@ def softmax(x: Tensor) -> Tensor:
     s = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        x._accumulate(s * (g - (g * s).sum(axis=-1, keepdims=True)))
+        x._accumulate(s * (g - (g * s).sum(axis=-1, keepdims=True)), owned=True)
 
     return _make(s, (x,), backward)
 
@@ -465,26 +467,15 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     """Softmax(q k^T / sqrt(d)) v on [batch, heads, length, head_dim] arrays
     of one dtype.
 
-    The scale is folded into q. With at least as many queries as keys
-    (self-attention), the scores are formed keys by queries, s^T =
-    k (q scale)^T of shape [batch, heads, keys, queries], so the mask bias,
-    max and sum of each query's softmax run over axis -2, which numpy does
-    with whole-row vector ufuncs instead of one short reduction per row.
-    With fewer queries (only the masked positions query) those rows would
-    be a few elements long, so the scores stay queries by keys. On one
-    thread, forward plus backward in float32 took 0.75-0.95x the
-    queries-by-keys time keys by queries at 16 to 256 queries and keys,
-    but 1.7-2x at 2 to 8 queries over 128 or 384 keys.
-
-    Every pass runs over blocks of batch rows of at most
-    _ATTENTION_BLOCK_BYTES of scores, writing into arrays allocated once:
-    the mask bias and the softmax run in place on the block's scores, and
-    only the attention weights are kept for backward. numpy's batched
-    matmul runs one GEMM per matrix, and every ufunc and reduction acts
-    within one query's scores, so the bits do not depend on the block size.
-    Returns the output and a function that maps its gradient to the
-    gradients of q, k and v; the backward's only score-sized scratch is one
-    block.
+    The scale is folded into q, and every pass runs over blocks of batch
+    rows of at most _ATTENTION_BLOCK_BYTES of scores, writing into arrays
+    allocated once: the mask bias and the softmax run in place on the
+    block's scores, and only the attention weights are kept for backward.
+    numpy's batched matmul runs one GEMM per [length, length] matrix, and
+    every ufunc and reduction acts within one row, so the bits do not
+    depend on the block size. Returns the output and a function that maps
+    its gradient to the gradients of q, k and v; the backward's only
+    score-sized scratch is one block.
     """
     dtype = np.result_type(q, k, v)
     batch, heads, lq, _ = q.shape
@@ -493,45 +484,34 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     blocks = [slice(lo, lo + rows) for lo in range(0, batch, rows)]
     scale = q.dtype.type(1.0 / np.sqrt(q.shape[-1]))
     qs = q * scale
-    by_keys = lq >= lk
-    keys_axis = -2 if by_keys else -1
-
-    def weights(s: np.ndarray) -> np.ndarray:
-        """A block of scores, as stored, viewed as [queries, keys]."""
-        return np.swapaxes(s, -1, -2) if by_keys else s
-
-    left, right = (k, np.swapaxes(qs, -1, -2)) if by_keys else (qs, np.swapaxes(k, -1, -2))
+    kt = np.swapaxes(k, -1, -2)
     bias = None
     if padding_mask is not None:
-        bias = np.expand_dims(np.where(padding_mask, -1e9, 0.0).astype(q.dtype),
-                              (1, -1 if by_keys else -2))
-    p = np.empty((batch, heads) + ((lk, lq) if by_keys else (lq, lk)), dtype)
+        bias = np.where(padding_mask, -1e9, 0.0).astype(q.dtype)[:, None, None, :]
+    p = np.empty((batch, heads, lq, lk), dtype)
     out = np.empty((batch, heads, lq, v.shape[-1]), dtype)
     for b in blocks:
-        pb = np.matmul(left[b], right[b], out=p[b])
+        pb = np.matmul(qs[b], kt[b], out=p[b])
         if bias is not None:
             pb += bias[b]
-        pb -= pb.max(axis=keys_axis, keepdims=True)
+        pb -= pb.max(axis=-1, keepdims=True)
         np.exp(pb, out=pb)
-        pb /= pb.sum(axis=keys_axis, keepdims=True)
-        np.matmul(weights(pb), v[b], out=out[b])
+        pb /= pb.sum(axis=-1, keepdims=True)
+        np.matmul(pb, v[b], out=out[b])
 
     def grads(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         gq, gk, gv = np.empty(q.shape, dtype), np.empty(k.shape, dtype), np.empty(v.shape, dtype)
-        gt, vt = np.swapaxes(g, -1, -2), np.swapaxes(v, -1, -2)
-        scratch = np.empty((min(rows, batch),) + p.shape[1:], dtype)
+        vt = np.swapaxes(v, -1, -2)
+        scratch = np.empty((min(rows, batch), heads, lq, lk), dtype)
         for b in blocks:
             pb = p[b]
-            np.matmul(np.swapaxes(weights(pb), -1, -2), g[b], out=gv[b])
-            # softmax backward in the scores' layout: p * (g v^T - rowsum),
-            # rowsum_i = g_i . out_i for query i
-            gs = np.matmul(*((v[b], gt[b]) if by_keys else (g[b], vt[b])),
-                           out=scratch[:len(pb)])
-            gs -= np.expand_dims((g[b] * out[b]).sum(axis=-1), keys_axis)
+            np.matmul(np.swapaxes(pb, -1, -2), g[b], out=gv[b])
+            # softmax backward: p * (g v^T - rowsum), rowsum_i = g_i . out_i
+            gs = np.matmul(g[b], vt[b], out=scratch[:len(pb)])
+            gs -= (g[b] * out[b]).sum(axis=-1, keepdims=True)
             gs *= pb
-            gw = weights(gs)
-            np.multiply(np.matmul(gw, k[b], out=gq[b]), scale, out=gq[b])
-            np.matmul(np.swapaxes(gw, -1, -2), qs[b], out=gk[b])
+            np.multiply(np.matmul(gs, k[b], out=gq[b]), scale, out=gq[b])
+            np.matmul(np.swapaxes(gs, -1, -2), qs[b], out=gk[b])
         return gq, gk, gv
 
     return out, grads
@@ -564,7 +544,7 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
     def backward(g):
         for t, gt in zip((q, k, v), grads(g)):
             if t.requires_grad:
-                t._accumulate(gt)
+                t._accumulate(gt, owned=True)
 
     return _make(data, (q, k, v), backward)
 

@@ -587,6 +587,27 @@ def test_first_gradients_are_owned_buffers():
     np.testing.assert_array_equal(a.grad, b.grad)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_handed_over_first_gradients_keep_their_own_buffers(dtype):
+    # neg, mul, absolute, softmax and attention hand over arrays they allocate
+    rng = np.random.default_rng(3)
+    q, k, v = (nn.Tensor(rng.normal(size=(2, 1, 3, 4)).astype(dtype), requires_grad=True)
+               for _ in range(3))
+    att = nn.scaled_dot_product_attention(q, k, v, np.array([[False, False, True]] * 2))
+    flat = nn.reshape(att, (6, 4))
+    n = nn.neg(flat)
+    w = nn.Tensor(rng.normal(size=(6, 4)).astype(dtype), requires_grad=True)
+    m = nn.mul(n, w)
+    a = nn.absolute(m)
+    s = nn.softmax(a)
+    nn.softmax_cross_entropy(s, np.array([0, 1, 2, 3, 0, 1])).backward()
+    tensors = (q, k, v, att, flat, n, w, m, a, s)
+    assert all(t.grad is not None and t.grad.dtype == dtype for t in tensors)
+    for i, ti in enumerate(tensors):
+        for tj in tensors[i + 1:]:
+            assert not np.shares_memory(ti.grad, tj.grad)
+
+
 def test_gradient_gather_positions():
     rng = np.random.default_rng(10)
     x = t64(rng.normal(size=(2, 5, 3)))
