@@ -27,7 +27,7 @@ from .augment import AugmentPolicy, expand_sequence_detailed
 from .checkpoint import load_checkpoint, save_checkpoint_bytes
 from .corpus import TOKENS_SUFFIX, format_corpus, read_corpus_dir, read_corpus_file
 from .errors import PsaeError
-from .model import ModelConfig, TrainHyper, _untraced, train
+from .model import ModelConfig, TrainHyper, train
 from .pipeline import sequence_from_midi_bytes, sequence_from_midi_path
 from .quantize import GridUnit
 from .scoring import EvalReport, evaluate_manifest, excerpt_score, note_probabilities
@@ -67,7 +67,9 @@ def _private_dir(tmp_root: Path) -> Path:
 
 # ---------------------------------------------------------------- config
 
-def _merge_section(name: str, defaults: dict, overrides: dict) -> dict:
+def _merge_section(name: str, defaults: dict, overrides: object) -> dict:
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"{name!r} config must be a JSON object, not {json.dumps(overrides)}")
     unknown = set(overrides) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown keys in {name!r} config: {sorted(unknown)}")
@@ -84,8 +86,8 @@ def load_run_config(path: str | Path | None) -> dict:
     if path is not None:
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"config file {path} is not valid UTF-8 JSON: {exc}")
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
     unknown = set(raw) - {"seed", "model", "train"}
@@ -129,7 +131,7 @@ def cmd_preprocess(input_dir: str, output_dir: str, seed: int = 0) -> int:
     unique = [p for p in files if first_of[p.stem] is p]
     with tempfile.TemporaryDirectory(dir=out_dir, prefix=".psae-") as tmp:
         work = functools.partial(_preprocess_file, out_dir=out_dir, tmp_root=Path(tmp), seed=seed)
-        done = iter(parallel.process_map(work, unique, concurrent=_untraced()))
+        done = iter(parallel.process_map(work, unique))
     grid_histogram = {g: 0 for g in GridUnit}
     errors: list[tuple[str, str]] = []
     for path in files:
@@ -175,7 +177,7 @@ def cmd_augment(input_dir: str, output_dir: str, policy: AugmentPolicy) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=out_dir, prefix=".psae-") as tmp:
         work = functools.partial(_augment_file, out_dir=out_dir, tmp_root=Path(tmp), policy=policy)
-        blocks = parallel.process_map(work, files, concurrent=_untraced())
+        blocks = parallel.process_map(work, files)
     manifest = ["variant_id\tsource_id\tshift\ttruncation"]
     for block in blocks:
         manifest += block
@@ -335,7 +337,7 @@ def cmd_eval(model_path: str, manifest_path: str, output_dir: str,
                   f"clips={report.n_scored} skipped={report.n_skipped} seconds={seconds:.3f} "
                   f"cpu_seconds={cpu_seconds:.3f} "
                   f"clips_per_s={report.n_scored / max(seconds, 1e-9):.2f} "
-                  f"workers={parallel.worker_count()}\n")
+                  f"workers={parallel.worker_count() if parallel.untraced() else 1}\n")
     print(text, end="")
     if report.errors:
         print(f"skipped {len(report.errors)} file(s)", file=sys.stderr)

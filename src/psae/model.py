@@ -432,20 +432,6 @@ def _masked_queries(mask_positions: np.ndarray, b_idx: np.ndarray,
 # numpy work per op is large enough to overlap on two threads.
 SPLIT_MIN_TOKENS = 2048
 
-# A tracer that wraps psae's functions from outside (perfbench/layers.py
-# wraps Tensor.backward among others) records spans on one stack, which
-# overlapping threads would close out of order; per-op times from
-# overlapping threads could not be attributed anyway. train runs its row
-# ranges, and the scorer its variant chunks, one after the other while
-# Tensor.backward is not this one.
-_BACKWARD = nn.Tensor.backward
-
-
-def _untraced() -> bool:
-    """True while no tracer has replaced Tensor.backward: threads may overlap."""
-    return nn.Tensor.backward is _BACKWARD
-
-
 class _RangeStep(NamedTuple):
     """Forward and backward over one row range of a masked batch."""
 
@@ -503,27 +489,17 @@ class _BatchLoss(NamedTuple):
 
 def _batch_gradients(section: parallel.Section, params: ModelParams, batch: TrainingBatch,
                      flood_b: float) -> _BatchLoss:
-    """Run batch's row ranges on the section and leave the flooded batch
-    loss's gradient in each parameter's .grad (untouched when the loss is
-    not finite).
+    """Map batch's row ranges on the section (which deals them to its
+    threads, one range's graph per thread at a time) and leave the flooded
+    batch loss's gradient in each parameter's .grad (untouched when the
+    loss is not finite).
 
-    Range i goes to lane i mod lanes, lanes = min(MAX_WORKERS, ranges):
-    each lane is one task that runs its ranges one after another, so a
-    thread holds one range's graph at a time. With raw_w the mean NLL of
-    range w over its k_w of the batch's k masked positions, the batch loss
-    is raw = sum_w raw_w k_w / k, and |raw - b| + b has the gradient
-    sum_w sign(raw - b) (k_w / k) grad raw_w, summed in range order.
-    sign(0) = 0, as in nn.absolute.
+    With raw_w the mean NLL of range w over its k_w of the batch's k
+    masked positions, the batch loss is raw = sum_w raw_w k_w / k, and
+    |raw - b| + b has the gradient sum_w sign(raw - b) (k_w / k) grad
+    raw_w, summed in range order. sign(0) = 0, as in nn.absolute.
     """
-    ranges = _row_ranges(batch)
-    lanes = min(parallel.MAX_WORKERS, len(ranges))
-
-    def lane(w: int) -> list[_RangeStep]:
-        return [_range_step(params, batch, rows) for rows in ranges[w::lanes]]
-
-    done = section.map([functools.partial(lane, w) for w in range(lanes)],
-                       concurrent=_untraced())
-    steps = [done[i % lanes][i // lanes] for i in range(len(ranges))]
+    steps = section.map(functools.partial(_range_step, params, batch), _row_ranges(batch))
     k = sum(step.masked for step in steps)
     dtype = steps[0].raw.dtype.type
     raw = dtype(sum(float(step.raw) * step.masked for step in steps) / k)
@@ -546,7 +522,7 @@ def train(corpus, config: ModelConfig, hyper: TrainHyper,
     positions, flooding, backward, AdamW. Deterministic per hyper.seed.
 
     Each masked batch trains as fixed row ranges of about SPLIT_MIN_TOKENS
-    tokens, dealt to up to two threads (_batch_gradients), so a step's
+    tokens, mapped on a parallel.Section (_batch_gradients), so a step's
     memory is bounded by the range size, not the batch; the split depends
     on the batch alone, so the result does not depend on the CPU count.
 

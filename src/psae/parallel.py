@@ -1,16 +1,18 @@
-"""Run a few independent tasks on up to two threads, with BLAS single-threaded,
-and per-file work on up to two forked processes (process_map).
+"""How work is split: the items of a Section.map on up to two threads, with
+BLAS single-threaded, and per-file work on up to two forked processes
+(process_map). Callers pass a function and its items; this module alone
+decides whether they overlap and how they are dealt.
 
 The model's GEMMs are 64 wide, so OpenBLAS's own threads buy almost
 nothing, and an OpenBLAS worker spins on the second core after each GEMM.
-Coarse tasks on Python threads scale instead: numpy releases the GIL
-inside its kernels. Each numpy call in a concurrent task must run long
-enough that the GIL handoffs between calls do not dominate. A Section
-pins numpy's bundled OpenBLAS to one thread (found through ctypes, as
-threadpoolctl does) the first time it runs two or more tasks, and
-restores the old count when it closes. Nothing happens at import, no
-thread starts on one CPU, and without a known OpenBLAS the tasks run one
-after the other.
+Coarse items on Python threads scale instead: numpy releases the GIL
+inside its kernels. Each numpy call in an item must run long enough that
+the GIL handoffs between calls do not dominate. A Section pins numpy's
+bundled OpenBLAS to one thread (found through ctypes, as threadpoolctl
+does) the first time it maps two or more items, and restores the old
+count when it closes. Nothing happens at import, no thread starts on one
+CPU or under a tracer (untraced), and without a known OpenBLAS the items
+run one after the other.
 
 A Section also tunes glibc's malloc (mallopt, found through ctypes the same
 way) so that activations land on pages that are already resident: a
@@ -39,6 +41,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import nn
+
 MAX_WORKERS = 2
 
 # mallopt(3) parameters. M_TOP_PAD is the heap a trim keeps and a heap
@@ -63,6 +67,20 @@ _OPENBLAS_SYMBOLS = (
     ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
+
+
+# A tracer that wraps psae's functions from outside (perfbench/layers.py
+# wraps Tensor.backward among others) records spans on one stack, which
+# overlapping threads would close out of order, and a forked process's
+# spans never reach it; per-op times from overlapping work could not be
+# attributed anyway. So map and process_map run every item on the caller
+# while Tensor.backward is not this one.
+_BACKWARD = nn.Tensor.backward
+
+
+def untraced() -> bool:
+    """True while no tracer has replaced Tensor.backward: work may overlap."""
+    return nn.Tensor.backward is _BACKWARD
 
 
 def worker_count() -> int:
@@ -122,10 +140,10 @@ def find_mallopt():
 
 
 class Section:
-    """Context manager inside which map() may run tasks concurrently.
+    """Context manager inside which map() may run items on two threads.
 
-    The first map of two or more tasks looks up OpenBLAS and pins it to one
-    thread, and the first concurrent map starts the worker thread that
+    The first map of two or more items looks up OpenBLAS and pins it to one
+    thread, and the first overlapping map starts the worker thread that
     later maps reuse (a new thread per map gets new malloc arenas and
     OpenBLAS buffers). Entering sets glibc's heap pad to SECTION_TOP_PAD
     and its mmap and trim thresholds, the last two for good. Leaving the
@@ -170,37 +188,45 @@ class Section:
                 self._blas.set_threads(1)
         return self._blas is not None
 
-    def map(self, tasks, concurrent: bool = True) -> list:
-        """Results of the no-argument callables in tasks, in order.
+    def map(self, fn, items) -> list:
+        """[fn(item) for item in items], in item order.
 
-        Two or more tasks always run with OpenBLAS on one thread, since its
+        Two or more items always run with OpenBLAS on one thread, since its
         thread count can change its rounding: a map gives the same bits
-        whether its tasks overlap or not. With concurrent, at most
-        worker_count() tasks and OpenBLAS found, tasks[1:] run on the
-        section's worker threads while the caller runs tasks[0]. Each task
-        runs in a copy of the caller's context, so numpy's errstate (a
+        whether its items overlap or not. Item i runs on lane i mod lanes,
+        lanes = min(worker_count(), len(items)), and each lane runs its
+        items one after another, so a thread holds one item's work at a
+        time. Lane 0 is the caller and the others are the section's worker
+        threads; they overlap only untraced, with two or more lanes and
+        OpenBLAS found, and otherwise every item runs on the caller. Each
+        lane runs in a copy of the caller's context, so numpy's errstate (a
         context variable since numpy 2) carries over, and the first
-        exception in task order is raised after every task has ended.
-        Otherwise the tasks run one after the other on the calling thread.
+        exception in lane order is raised after every lane has ended.
         """
-        if len(tasks) < 2 or not (self._pin_blas() and concurrent
-                                  and len(tasks) <= worker_count()):
-            return [task() for task in tasks]
+        items = list(items)
+        lanes = min(worker_count(), len(items))
+        if len(items) < 2 or not (self._pin_blas() and lanes > 1 and untraced()):
+            return [fn(item) for item in items]
         if self._pool is None:
             self._pool = futures.ThreadPoolExecutor(MAX_WORKERS - 1)
-        pending = [self._pool.submit(contextvars.copy_context().run, task)
-                   for task in tasks[1:]]
+
+        def lane(w: int) -> list:
+            return [fn(item) for item in items[w::lanes]]
+
+        pending = [self._pool.submit(contextvars.copy_context().run, lane, w)
+                   for w in range(1, lanes)]
         try:
-            first = tasks[0]()
+            done = [lane(0)]
         finally:
             futures.wait(pending)
-        return [first] + [f.result() for f in pending]
+        done += [f.result() for f in pending]
+        return [done[i % lanes][i // lanes] for i in range(len(items))]
 
 
-def process_map(fn, items: list, concurrent: bool) -> list:
+def process_map(fn, items: list) -> list:
     """[fn(item) for item in items], on worker_count() forked processes.
 
-    The processes run only with concurrent, two or more items and workers,
+    The processes run only untraced, with two or more items and workers,
     the fork start method and no other thread in this process: a fork
     copies the calling thread alone, so a lock that another thread holds
     would stay held in the child. fork, not spawn, because each command
@@ -212,7 +238,7 @@ def process_map(fn, items: list, concurrent: bool) -> list:
     """
     import multiprocessing  # here, so that importing psae does not load it
     workers = min(worker_count(), len(items))
-    if (not concurrent or workers < 2 or threading.active_count() > 1
+    if (not untraced() or workers < 2 or threading.active_count() > 1
             or "fork" not in multiprocessing.get_all_start_methods()):
         return [fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor

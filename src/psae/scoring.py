@@ -9,7 +9,6 @@ group key. Nothing in this path is random.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +19,7 @@ from . import nn, parallel
 from .errors import PsaeError
 from .model import (Checkpoint, ModelConfig, ModelParams, _attention_norm,
                     _attention_residual, _embed, _ffn_sublayer, _head, _packed_block,
-                    _project, _untraced, check_tokens)
+                    _project, check_tokens)
 from .model import forward  # noqa: F401  (perfbench/layers.py traces scoring.forward)
 from .quantize import PitchSequence
 
@@ -213,12 +212,10 @@ def note_probabilities(model: Checkpoint | ModelParams, seq: PitchSequence,
     variant (see _FirstLayer). Every later layer is model._packed_block,
     the layer forward runs, over the chunk's variants packed as
     [variants * L, d] rows with no PAD; the last one queries only the
-    masked positions. Variants run in chunks sized by _chunk_size, and one
-    parallel.Section map per clip gives task w the chunks
-    starts[w::parallel.MAX_WORKERS], scored back to back: each chunk writes
-    its own slice of the result, so the bits do not depend on the CPU
-    count, and a clip that fits one chunk runs on the caller alone.
-    Under a tracer (model._untraced) the tasks run one after the other.
+    masked positions. Variants run in chunks sized by _chunk_size, in one
+    parallel.Section map per clip, which deals them to its threads: each
+    chunk writes its own slice of the result, so the bits do not depend on
+    the CPU count, and a clip that fits one chunk runs on the caller alone.
     Scoring reads the parameters' data only: it records no graph and
     leaves every .grad and requires_grad flag as it was.
     """
@@ -259,15 +256,8 @@ def note_probabilities(model: Checkpoint | ModelParams, seq: PitchSequence,
         p_true = np.take_along_axis(p, tokens[idx][..., None], axis=-1)[..., 0]
         probs[start:start + len(part)] = (p_true * valid).sum(axis=1) / valid.sum(axis=1)
 
-    def score_chunks(starts: range) -> None:
-        for start in starts:
-            score_chunk(start)
-
-    starts = range(0, len(groups), chunk)
     with parallel.Section() as section:
-        section.map([functools.partial(score_chunks, starts[w::parallel.MAX_WORKERS])
-                     for w in range(min(parallel.MAX_WORKERS, len(starts)))],
-                    concurrent=_untraced())
+        section.map(score_chunk, range(0, len(groups), chunk))
     first_steps = np.array([int(g[0]) for g in groups])
     return NoteProbabilities(probabilities=probs, positions=first_steps)
 

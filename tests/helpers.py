@@ -8,10 +8,15 @@ import zlib
 
 import numpy as np
 
-from psae import nn
+from psae import nn, parallel
 from psae.midi_ingest import MidiFile, NoteEvent, write_smf
 
 REL_ERR_FLOOR = 1e-4  # keeps finite-difference roundoff out of relative errors
+
+
+def concurrent_here() -> bool:
+    """True where an untraced Section.map overlaps its lanes."""
+    return parallel.worker_count() > 1 and parallel.find_openblas() is not None
 
 
 def rel_err(a: float, b: float, floor: float = REL_ERR_FLOOR) -> float:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from psae import cli, model, parallel
+from psae import cli, model, nn, parallel
 from psae.augment import random_truncate, transpose
 from psae.checkpoint import load_checkpoint
 from psae.cli import main, parse_report_kv, render_report_kv, render_report_text
@@ -442,18 +442,23 @@ def test_config_precedence_flag_over_file_over_default(tmp_path, monkeypatch):
 
 def test_unknown_config_keys_rejected(tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"train": {"epoch": 3}}), encoding="utf-8")
-    assert main(["train", "--corpus", str(tmp_path), "--config", str(config),
-                 "--out", str(tmp_path / "m"), "--epochs", "1"]) == 1
-    assert "unknown keys" in capsys.readouterr().err
-    config.write_text(json.dumps({"trainer": {}}), encoding="utf-8")
-    assert main(["train", "--corpus", str(tmp_path), "--config", str(config),
-                 "--out", str(tmp_path / "m"), "--epochs", "1"]) == 1
-    assert "unknown top-level" in capsys.readouterr().err
-    config.write_text(json.dumps({"augment": {"truncation_max": 50}}), encoding="utf-8")
-    assert main(["train", "--corpus", str(tmp_path), "--config", str(config),
-                 "--out", str(tmp_path / "m"), "--epochs", "1"]) == 1
-    assert "unknown top-level" in capsys.readouterr().err
+    for blob, message in [
+        (json.dumps({"train": {"epoch": 3}}).encode(), "unknown keys"),
+        (json.dumps({"trainer": {}}).encode(), "unknown top-level"),
+        (json.dumps({"augment": {"truncation_max": 50}}).encode(), "unknown top-level"),
+        # sections that are not objects, and a file that is not UTF-8
+        (json.dumps({"model": None}).encode(), "'model' config must be a JSON object"),
+        (json.dumps({"train": 3}).encode(), "'train' config must be a JSON object"),
+        (json.dumps({"model": "abc"}).encode(), "'model' config must be a JSON object"),
+        ('{"seed": "\xe9"}'.encode("latin-1"), "not valid UTF-8 JSON"),
+    ]:
+        config.write_bytes(blob)
+        with pytest.raises(cli.ConfigError, match=re.escape(message)):
+            cli.load_run_config(config)
+        assert main(["train", "--corpus", str(tmp_path), "--config", str(config),
+                     "--out", str(tmp_path / "m"), "--epochs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize("flags, config", [
@@ -547,7 +552,7 @@ def test_eval_report_files_and_round_trip(tmp_path, capsys):
     assert len(parsed["excerpts"]) == 4
 
 
-def test_eval_writes_timing_apart_from_report(tmp_path):
+def test_eval_writes_timing_apart_from_report(tmp_path, monkeypatch):
     model_path, midi_dir = run_small_pipeline(tmp_path)
     manifest = tmp_path / "manifest.csv"
     rows = ["path,label"] + [f"{p},{'human' if i % 2 else 'ai'}"
@@ -568,6 +573,12 @@ def test_eval_writes_timing_apart_from_report(tmp_path):
                                scorer=lambda p: sequence_from_midi_path(p, seed=0))
     assert (out_dir / "report.kv").read_bytes() == render_report_kv(report).encode("utf-8")
     assert (out_dir / "report.txt").read_bytes() == render_report_text(report).encode("utf-8")
+    # under a tracer scoring runs on the calling thread alone
+    backward = nn.Tensor.backward
+    monkeypatch.setattr(nn.Tensor, "backward", lambda self: backward(self))
+    assert main(["eval", "--model", str(model_path), "--manifest", str(manifest),
+                 "--out", str(out_dir)]) == 0
+    assert (out_dir / "eval.timing").read_text().split()[-1] == "workers=1"
 
 
 def test_eval_missing_class_surfaces_single_class_error(tmp_path, capsys):

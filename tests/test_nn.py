@@ -141,8 +141,8 @@ def test_float32_gelu_is_thread_safe():
     x = np.random.default_rng(30).normal(size=(3, nn._PHI_BLOCK + 5)).astype(np.float32)
     serial = nn.gelu(nn.Tensor(x)).data.tobytes()
     with parallel.Section() as section:
-        got = section.map([lambda: [nn.gelu(nn.Tensor(x)).data.tobytes() for _ in range(4)]] * 2,
-                          concurrent=True)
+        got = section.map(lambda _: [nn.gelu(nn.Tensor(x)).data.tobytes() for _ in range(4)],
+                          range(2))
     assert all(bits == serial for run in got for bits in run)
 
 

@@ -14,6 +14,7 @@ from psae.scoring import (ExcerptScore, ManifestMalformed, ManifestRow,
                           ai_probability, compute_auc, evaluate_manifest,
                           _scoreable_positions, note_probabilities, read_manifest,
                           score_sequence)
+from helpers import concurrent_here
 
 MINI = model.ModelConfig(vocab_size=12, embed_dim=8, hidden_dim=8, num_layers=2,
                          num_heads=2, ffn_dim=16, max_position=64, output_classes=9)
@@ -227,10 +228,6 @@ def test_scoring_is_deterministic(mini_params):
 
 # ------------------------------------------------- chunks on two threads
 
-def concurrent_here() -> bool:
-    return parallel.worker_count() > 1 and parallel.find_openblas() is not None
-
-
 def chunked(monkeypatch, size):
     monkeypatch.setattr(scoring, "_chunk_size", lambda config, length, itemsize: size)
 
@@ -254,26 +251,26 @@ def test_chunks_give_the_same_bits_on_one_and_two_workers(monkeypatch, mini_para
 
 
 @pytest.mark.parametrize("n_chunks", [4, 5])
-def test_one_map_per_clip_deals_its_chunks_to_two_tasks(monkeypatch, mini_params, n_chunks):
+def test_one_map_per_clip_maps_each_chunk_once(monkeypatch, mini_params, n_chunks):
     seq = sustained_notes(np.random.default_rng(24), 60)
     n_groups = len(_scoreable_positions(np.asarray(seq.tokens), MINI.output_classes, False))
     size = -(-n_groups // n_chunks)
     assert len(range(0, n_groups, size)) == n_chunks
     chunked(monkeypatch, size)
-    task_counts = []
+    item_counts = []
     section_map = parallel.Section.map
 
-    def spy(section, tasks, concurrent=True):
-        task_counts.append(len(tasks))
-        return section_map(section, tasks, concurrent)
+    def spy(section, fn, items):
+        item_counts.append(len(items))
+        return section_map(section, fn, items)
 
     monkeypatch.setattr(parallel.Section, "map", spy)
     probs = {}
     for workers in (1, 2):
         monkeypatch.setattr(parallel, "worker_count", lambda n=workers: n)
         probs[workers] = note_probabilities(mini_params, seq).probabilities
-        assert task_counts == [2]
-        task_counts.clear()
+        assert item_counts == [n_chunks]
+        item_counts.clear()
     assert probs[1].tobytes() == probs[2].tobytes()
     np.testing.assert_allclose(probs[2], one_at_a_time(mini_params, seq), rtol=0, atol=1e-6)
 
