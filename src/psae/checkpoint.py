@@ -99,6 +99,8 @@ def load_checkpoint_bytes(data: bytes) -> Checkpoint:
         key = reader.name()
         if key not in known:
             raise CheckpointFormatError(f"unknown config field {key!r}")
+        if key in config_values:
+            raise CheckpointFormatError(f"config field {key!r} repeated")
         config_values[key] = reader.i64()
     if set(config_values) != known:
         missing = sorted(known - set(config_values))
@@ -109,6 +111,8 @@ def load_checkpoint_bytes(data: bytes) -> Checkpoint:
     tensors: dict[str, nn.Tensor] = {}
     while reader.pos < reader.limit:
         name = reader.name()
+        if name in tensors:
+            raise CheckpointFormatError(f"tensor {name!r} repeated")
         rank = reader.u32()
         if rank > 8:
             raise CheckpointFormatError(f"implausible tensor rank {rank}")

@@ -8,6 +8,7 @@ is UTF-8 and diff-friendly on purpose.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,9 @@ class CorpusFormatError(PsaeError):
 
 
 _TOKEN_TEXT = {i: str(i) for i in range(REST_ID + 1)}  # any other id raises KeyError
+# Token ids as format_sequence spells them: ASCII digits between whitespace.
+# int() alone would also read "1_2", "+60" or other scripts' digits.
+_DECIMAL_IDS = re.compile(r"[0-9\s]*", re.ASCII)
 
 
 def format_sequence(seq: PitchSequence) -> str:
@@ -42,6 +46,8 @@ def parse_sequence_line(line: str) -> PitchSequence:
         grid = GridUnit(grid_name)
     except ValueError:
         raise CorpusFormatError(f"unknown grid unit {grid_name!r}")
+    if _DECIMAL_IDS.fullmatch(ids) is None:
+        raise CorpusFormatError(f"token ids of {source_id!r} are not ASCII decimal")
     try:
         tokens = np.array([int(t) for t in ids.split()], dtype=np.int16)
         return PitchSequence(tokens=tokens, grid=grid, source_id=source_id)

@@ -197,7 +197,9 @@ def _attention_residual(t: dict[str, nn.Tensor], x: nn.Tensor, attn: nn.Tensor) 
 def _ffn_sublayer(t: dict[str, nn.Tensor], x: nn.Tensor) -> nn.Tensor:
     """Pre-norm position-wise feed-forward plus residual."""
     h = nn.layer_norm(x, t["norm_ffn_gain"], t["norm_ffn_bias"])
-    f = nn.gelu(nn.matmul(h, t["ffn_in_weight"], bias=t["ffn_in_bias"]))
+    f = nn.matmul(h, t["ffn_in_weight"], bias=t["ffn_in_bias"])
+    # without a graph nothing reads the pre-activation again: gelu writes over it
+    f = nn.gelu(f, out=None if f.requires_grad else f.data)
     f = nn.matmul(f, t["ffn_out_weight"], bias=t["ffn_out_bias"])
     return nn.add(x, f)
 

@@ -318,7 +318,7 @@ def _phi32(x: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def gelu(x: Tensor) -> Tensor:
+def gelu(x: Tensor, out: np.ndarray | None = None) -> Tensor:
     """Gaussian-error-linear unit x * Phi(x).
 
     float32 takes Phi from a rational erf within 3e-7 of the exact value,
@@ -327,12 +327,26 @@ def gelu(x: Tensor) -> Tensor:
     the C library's erf element by element, which the gradient checks
     differentiate. At -inf the output is its limit 0, and the gradient is 1
     at inf and 0 at -inf.
+
+    out, as in numpy, is a C-contiguous array of x's shape and dtype that
+    receives the result and becomes its data. It may be x.data itself when
+    x records no graph (backward reads x), and must not overlap x otherwise.
+    Each block is read whole before it is written, so the bytes are those of
+    an allocated output either way.
     """
     xd = x.data
     flat = xd.reshape(-1)
     n = flat.size
     lowest = np.finfo(xd.dtype).min     # -inf * Phi(-inf) would be nan
-    data = np.empty(n, xd.dtype)
+    if out is None:
+        out = np.empty(xd.shape, xd.dtype)
+    elif out.shape != xd.shape or out.dtype != xd.dtype or not out.flags.c_contiguous:
+        raise ShapeMismatch(f"gelu: out {out.shape} {out.dtype} must be C-contiguous "
+                            f"{xd.shape} {xd.dtype}")
+    elif (x.requires_grad or out is not xd) and np.may_share_memory(out, xd):
+        raise ShapeMismatch("gelu: out may overlap x only by being the data of an x "
+                            "that records no graph")
+    data = out.reshape(-1)
     if xd.dtype == np.float32:
         cdf = np.empty(n if x.requires_grad else min(n, _PHI_BLOCK), np.float32)
         scratch = [np.empty(min(n, _PHI_BLOCK), np.float32) for _ in range(3)]
@@ -363,7 +377,7 @@ def gelu(x: Tensor) -> Tensor:
             pdf *= gflat[lo:hi]
         x._accumulate(grad.reshape(xd.shape), owned=True)
 
-    return _make(data.reshape(xd.shape), (x,), backward)
+    return _make(out, (x,), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -28,10 +28,11 @@ from .quantize import PitchSequence
 # The chunk size follows from that share, the clip length and the widest
 # per-position activation.
 _SCORING_BUDGET_MIB = 64
-# Full-size copies of the widest activation a chunk may hold at once (for
-# the FFN: its input and gelu's output; gelu keeps one block of Phi when
-# no graph is recorded), with headroom. Chunk boundaries, and so the
-# scores' bits, follow from it: keep it at 6.
+# Full-size copies of the widest activation a chunk may hold at once, with
+# headroom. The FFN's hidden layer takes one: with no graph recorded, gelu
+# writes over its pre-activation and holds one block of Phi. Chunk
+# boundaries, and so the scores' bits, follow from it: keep it at 6, which
+# leaves more headroom than a chunk uses.
 _LIVE_COPIES = 6
 # A corrected first-layer softmax term exp(s - rowmax) above e**_EXP_LIMIT
 # is not trusted; that entry is recomputed exactly.
@@ -125,6 +126,10 @@ class _FirstLayer:
     changed keys). Masked queries are recomputed exactly, and so is any
     entry whose removed terms held more than half of D_i (the subtraction
     would cancel) or whose new term exceeds e**_EXP_LIMIT.
+
+    The stored terms are two [heads, L, L] float64 tables, e_old of the
+    clip's keys and e_new of the MASK keys, each built in place in the
+    buffer of its scores: no score or shift matrix is kept beside them.
     """
 
     def __init__(self, config: ModelConfig, t: dict[str, nn.Tensor],
@@ -141,14 +146,17 @@ class _FirstLayer:
         self.q_m, self.k_m, self.v_m = heads(x_masked)     # MASK at every position
         self.q *= scale
         self.q_m *= scale
-        scores = self.q @ np.swapaxes(self.k, 1, 2)
-        row_max = scores.max(axis=-1, keepdims=True)
-        self.e_old = np.exp(scores - row_max)
+        self.e_old = self.q @ np.swapaxes(self.k, 1, 2)    # scores, then their exp
+        row_max = self.e_old.max(axis=-1, keepdims=True)
+        self.e_old -= row_max
+        np.exp(self.e_old, out=self.e_old)
         self.denom = self.e_old.sum(axis=-1)
         self.numer = self.e_old @ self.v
-        shift = self.q @ np.swapaxes(self.k_m, 1, 2) - row_max
-        self.overflow = shift > _EXP_LIMIT
-        self.e_new = np.exp(np.minimum(shift, _EXP_LIMIT))
+        self.e_new = self.q @ np.swapaxes(self.k_m, 1, 2)  # MASK-key scores, then exp
+        self.e_new -= row_max
+        self.overflow = self.e_new > _EXP_LIMIT
+        np.minimum(self.e_new, _EXP_LIMIT, out=self.e_new)
+        np.exp(self.e_new, out=self.e_new)
 
     def attention(self, idx: np.ndarray, valid: np.ndarray) -> np.ndarray:
         """Merged-head attention output as [variants * L, d] rows, variant

@@ -99,6 +99,19 @@ def test_corpus_file_not_utf8_rejected(tmp_path):
         read_corpus_file(bad)
 
 
+@pytest.mark.parametrize("token", ["1_2", "+60", "٦٠", "-1", "6e1", "0x3c"])
+def test_corpus_token_ids_must_be_ascii_decimal(tmp_path, token):
+    path = tmp_path / "a.tokens"
+    path.write_text(f"ok\t16th\t60 61\nbad\t16th\t60 {token} 62\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=r"a\.tokens:2: token ids of 'bad'"):
+        read_corpus_file(path)
+
+
+def test_corpus_ids_keep_their_whitespace_rules():
+    seq = parse_sequence_line("w\t16th\t 60  61\x0b62 ")
+    assert seq.tokens.tolist() == [60, 61, 62]
+
+
 # ------------------------------------------------------------- preprocess
 
 def test_preprocess_writes_tokens_and_summary(tmp_path, capsys):

@@ -323,9 +323,9 @@ def test_training_step_computes_only_real_tokens(monkeypatch):
     corpus = [rng.integers(48, 84, size=n) for n in lengths]
     rows_seen = {"gelu": [], "layer_norm": []}
     for name, seen in rows_seen.items():
-        def counted(x, *args, op=getattr(nn, name), seen=seen):
+        def counted(x, *args, op=getattr(nn, name), seen=seen, **kwargs):
             seen.append(int(np.prod(x.shape[:-1])))
-            return op(x, *args)
+            return op(x, *args, **kwargs)
         monkeypatch.setattr(nn, name, counted)
     model.train(corpus, cfg, model.TrainHyper(epochs=1, batch_size=len(lengths)))
     real = sum(lengths)
@@ -717,6 +717,29 @@ def test_checkpoint_rejects_non_utf8_tensor_name():
     blob = ckpt.save_checkpoint_bytes(model.Checkpoint(model.init_model(MINI, 0)))
     with pytest.raises(ckpt.CheckpointFormatError):
         ckpt.load_checkpoint_bytes(resealed(blob, b"token_embedding", b"\xffoken_embedding"))
+
+
+def test_checkpoint_rejects_a_repeated_config_field():
+    import struct
+    blob = ckpt.save_checkpoint_bytes(model.Checkpoint(model.init_model(MINI, 0)))
+    config = blob[8:blob.index(b"token_embedding") - 4]     # field count, then the fields
+    count = struct.unpack("<I", config[:4])[0]
+    again = struct.pack("<I", len(b"num_layers")) + b"num_layers" + struct.pack("<q", 7)
+    bad = resealed(blob, config, struct.pack("<I", count + 1) + config[4:] + again)
+    with pytest.raises(ckpt.CheckpointFormatError, match="'num_layers' repeated"):
+        ckpt.load_checkpoint_bytes(bad)
+
+
+def test_checkpoint_rejects_a_repeated_tensor():
+    import struct
+    params = model.init_model(MINI, 0)
+    blob = ckpt.save_checkpoint_bytes(model.Checkpoint(params))
+    n = MINI.output_classes
+    entry = b"head_bias" + struct.pack("<2I", 1, n)
+    stored = entry + params.tensors["head_bias"].data.astype("<f4").tobytes()
+    again = struct.pack("<I", len(b"head_bias")) + entry + np.ones(n, "<f4").tobytes()
+    with pytest.raises(ckpt.CheckpointFormatError, match="'head_bias' repeated"):
+        ckpt.load_checkpoint_bytes(resealed(blob, stored, stored + again))
 
 
 @pytest.mark.parametrize("shape", [(2**31, 2**31, 4), (2**31, 2**31, 3)],

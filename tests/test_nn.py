@@ -137,6 +137,47 @@ def test_float32_gelu_without_grad_keeps_one_block_of_phi():
     assert peak < out.data.nbytes + 6 * block
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_into_out_gives_the_allocated_bytes(dtype):
+    rng = np.random.default_rng(35)
+    x = rng.normal(scale=3, size=(5, 2 * nn._PHI_BLOCK // 5 + 3)).astype(dtype)
+    x[0, :4] = [np.inf, -np.inf, np.finfo(dtype).max, np.finfo(dtype).min]
+    allocated = nn.gelu(nn.Tensor(x)).data
+    out = np.empty_like(x)
+    got = nn.gelu(nn.Tensor(x), out=out)
+    assert got.data is out and out.tobytes() == allocated.tobytes()
+    over = x.copy()
+    got = nn.gelu(nn.Tensor(over), out=over)        # written over its own input
+    assert got.data is over and over.tobytes() == allocated.tobytes()
+
+
+def test_gelu_into_out_keeps_a_tracked_input():
+    x = np.random.default_rng(36).normal(size=(4, 6)).astype(np.float32)
+    t = nn.Tensor(x.copy(), requires_grad=True)
+    with pytest.raises(nn.ShapeMismatch):
+        nn.gelu(t, out=t.data)                       # backward reads x
+    assert t.data.tobytes() == x.tobytes()
+    out = np.empty_like(x)
+    nn.gelu(t, out=out).backward()
+    expected = nn.Tensor(x, requires_grad=True)
+    nn.gelu(expected).backward()
+    assert out.tobytes() == nn.gelu(nn.Tensor(x)).data.tobytes()
+    assert t.grad.tobytes() == expected.grad.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.empty((4, 5), np.float32), np.empty((4, 6), np.float64),
+                                 np.empty((6, 4), np.float32).T])
+def test_gelu_rejects_an_out_of_another_layout(bad):
+    with pytest.raises(nn.ShapeMismatch):
+        nn.gelu(nn.Tensor(np.zeros((4, 6), np.float32)), out=bad)
+
+
+def test_gelu_rejects_an_out_overlapping_untracked_x():
+    buf = np.zeros(30, np.float32)
+    with pytest.raises(nn.ShapeMismatch):
+        nn.gelu(nn.Tensor(buf[:24].reshape(4, 6)), out=buf[6:].reshape(4, 6))
+
+
 def test_float32_gelu_is_thread_safe():
     x = np.random.default_rng(30).normal(size=(3, nn._PHI_BLOCK + 5)).astype(np.float32)
     serial = nn.gelu(nn.Tensor(x)).data.tobytes()

@@ -1,5 +1,6 @@
 """Per-note masked probabilities, score averaging, AUC, manifests."""
 
+import hashlib
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -168,6 +169,63 @@ def test_max_length_clip_is_exact_and_bounded():
         assert abs((e / e.sum())[tokens[i]] - got.probabilities[i]) < 1e-6
 
 
+def scaled_default_params(seed):
+    """Default-config weights times 10: attention sharp enough that clips
+    take _FirstLayer's exact fallbacks."""
+    params = model.init_model(model.ModelConfig(), seed)
+    for name, t in params.tensors.items():
+        if name.endswith("_weight") or name.endswith("_embedding"):
+            t.data *= np.float32(10.0)
+    return params
+
+
+def default_clip(rng, length):
+    """Default-vocabulary tokens in runs of 1-5 equal pitches with a few rests."""
+    tokens = []
+    while len(tokens) < length:
+        pitch = int(rng.integers(40, 90)) if rng.random() > 0.15 else REST_ID
+        tokens += [pitch] * int(rng.integers(1, 6))
+    return PitchSequence(tokens=np.array(tokens[:length], dtype=np.int16),
+                         grid=GridUnit.SIXTEENTH, source_id=f"clip{length}")
+
+
+# sha256 over the probabilities' bytes, clips at L = 16, 128 and 384, each
+# scored without and then with whole_notes; recorded before _FirstLayer
+# built its exp tables in place and the FFN's gelu wrote over its input.
+PROBABILITIES_SHA256 = "da2c26af4f25b1f128f298bae4de2e038072badfb8f656f1aea62ec8d36ce55f"
+
+
+def test_probabilities_keep_their_bits():
+    params = scaled_default_params(24)
+    rng = np.random.default_rng(25)
+    digest = hashlib.sha256()
+    for length in (16, 128, 384):
+        seq = default_clip(rng, length)
+        for whole_notes in (False, True):
+            digest.update(note_probabilities(params, seq, whole_notes).probabilities.tobytes())
+    assert digest.hexdigest() == PROBABILITIES_SHA256
+
+
+@pytest.mark.parametrize("length, bound_mib", [(128, 16.5), (384, 23.4)])
+def test_clip_holds_one_buffer_per_activation(monkeypatch, length, bound_mib):
+    """Serial traced peak of one default-config clip. Measured: 19.2 and
+    27.2 MiB when the first layer kept its scores and shifts beside the exp
+    tables and gelu allocated its output, 13.9 and 22.1 MiB now; only the
+    exp tables' temporaries (24.6 MiB at L = 384) or only gelu's output
+    (19.2 and 27.2 MiB) back would cross the bound."""
+    monkeypatch.setattr(parallel, "worker_count", lambda: 1)
+    params = scaled_default_params(19)
+    seq = PitchSequence(tokens=np.random.default_rng(20).integers(40, 90, size=length)
+                        .astype(np.int16), grid=GridUnit.SIXTEENTH, source_id="peak")
+    tracemalloc.start()
+    try:
+        note_probabilities(params, seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_scoring_leaves_params_untouched(mini_params):
     params = mini_params.cast(np.float32)
     params.tensors["head_bias"].requires_grad = False
@@ -314,9 +372,9 @@ def test_chunks_run_on_the_caller_under_a_tracer(monkeypatch, mini_params, trace
     threads = []
     gelu = nn.gelu
 
-    def recording_gelu(x):
+    def recording_gelu(x, out=None):
         threads.append(threading.current_thread())
-        return gelu(x)
+        return gelu(x, out=out)
 
     monkeypatch.setattr(nn, "gelu", recording_gelu)
     if traced:
