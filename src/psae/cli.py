@@ -85,7 +85,7 @@ def load_run_config(path: str | Path | None) -> dict:
     raw = {}
     if path is not None:
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"config file {path} is not valid UTF-8 JSON: {exc}")
         if not isinstance(raw, dict):

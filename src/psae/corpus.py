@@ -66,7 +66,7 @@ def write_corpus_file(path: str | Path, sequences: list[PitchSequence]) -> None:
 
 def read_corpus_file(path: str | Path) -> list[PitchSequence]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise CorpusFormatError(f"{path}: not UTF-8 text: {exc.reason}")
     out = []

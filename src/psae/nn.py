@@ -1,11 +1,16 @@
 """Dense-tensor math with reverse-mode gradients and the AdamW optimizer.
 
-A Tensor wraps a numpy float array. Every primitive records a backward
-closure on its output; Tensor.backward() replays the closures in reverse
-topological order, accumulates gradients into .grad buffers, and releases
-each node of the graph as soon as its closure has run. float32 is the
-working precision; float64 inputs are kept as-is so gradient checks can
-run in double precision.
+A Tensor wraps a numpy float array and a small autograd node. Every
+primitive records a backward closure on its output's node; the graph links
+nodes, not tensors, and each closure holds its parents' nodes and exactly
+the arrays its backward reads, so a training graph keeps only those:
+an intermediate that no backward reads (a residual sum, an embedding
+lookup, gelu's input) is freed as soon as forward drops its Tensor.
+Tensor.backward() replays the closures in reverse topological order,
+accumulates gradients into the nodes' .grad buffers, and releases each
+node of the graph as soon as its closure has run. float32 is the working
+precision; float64 inputs are kept as-is so gradient checks can run in
+double precision.
 
 The ops that stream the largest arrays (attention over blocks of batch
 rows, gelu over blocks of elements) write into outputs allocated once and
@@ -35,20 +40,63 @@ class NoRecordedGraph(PsaeError):
     pass
 
 
-class Tensor:
-    """N-d float array plus an optional same-shape gradient buffer."""
+class _Node:
+    """The autograd state of one Tensor: its gradient, the nodes of the
+    tracked tensors it was computed from, and the closure that sends its
+    gradient on to them. A closure holds parent nodes and the arrays its
+    backward reads, never a Tensor, so an array that no backward reads is
+    freed as soon as forward drops its Tensor."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("grad", "parents", "backward", "dtype")
+
+    def __init__(self, dtype):
+        self.grad: np.ndarray | None = None
+        self.parents: tuple[_Node, ...] = ()
+        self.backward = None
+        self.dtype = dtype
+
+    def accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+        # A closure passes owned=True when it allocated g itself, for this
+        # node alone; that g becomes the first gradient without a copy (a
+        # dtype mismatch still casts). Every op but add, reshape and
+        # swap_axes does: add hands its own input g to both parents, and
+        # reshape and swap_axes a view of it, which a later += would write
+        # through, so those first gradients are copied.
+        if self.grad is None:
+            self.grad = g if owned and g.dtype == self.dtype else np.array(g, dtype=self.dtype)
+        else:
+            self.grad += g
+
+
+class Tensor:
+    """N-d float array plus its autograd node. .grad and ._backward read and
+    write the node, which outlives the Tensor only while the graph links it."""
+
+    __slots__ = ("data", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data = arr
-        self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        self._node = _Node(arr.dtype)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._node.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._node.grad = value
+
+    @property
+    def _backward(self):
+        return self._node.backward
+
+    @_backward.setter
+    def _backward(self, fn) -> None:
+        self._node.backward = fn
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -68,32 +116,20 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
-        # A closure passes owned=True when it allocated g itself, for this
-        # tensor alone; that g becomes the first gradient without a copy
-        # (a dtype mismatch still casts). Every op but add, reshape and
-        # swap_axes does: add hands its own input g to both parents, and
-        # reshape and swap_axes a view of it, which a later += would write
-        # through, so those first gradients are copied.
-        if self.grad is None:
-            self.grad = (g if owned and g.dtype == self.data.dtype
-                         else np.array(g, dtype=self.data.dtype))
-        else:
-            self.grad += g
-
     def backward(self) -> None:
         """Populate .grad on every ancestor that requires grad, releasing
         the recorded graph as the walk goes: a node drops its closure and
-        parents as soon as its closure has run, so a tensor the caller does
-        not hold is freed, .grad and all, once every node that reads it has
-        run. Tensors the caller holds keep their .grad. Raises
+        parents as soon as its closure has run, so the node of a tensor the
+        caller does not hold is freed, .grad and all, once every node that
+        reads it has run. Tensors the caller holds keep their .grad. Raises
         NoRecordedGraph if this tensor was not produced by a recorded
         forward pass."""
-        if self._backward is None:
+        root = self._node
+        if root.backward is None:
             raise NoRecordedGraph("tensor has no recorded forward graph")
-        topo: list[Tensor] = []
+        topo: list[_Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -103,16 +139,16 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
+            for p in node.parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         while topo:
             node = topo.pop()
-            if node._backward is not None:
-                node._backward(node.grad)
-            node._backward = None
-            node._parents = ()
+            if node.backward is not None:
+                node.backward(node.grad)
+            node.backward = None
+            node.parents = ()
 
     # The operators of |l - b| + b in model.flooded_loss. Scalars stay in
     # the tensor's own dtype so float32 graphs are not silently promoted.
@@ -136,12 +172,18 @@ class Tensor:
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
-    tracked = tuple(p for p in parents if p.requires_grad)
+    tracked = tuple(p._node for p in parents if p.requires_grad)
     if tracked:
         out.requires_grad = True
-        out._parents = tracked
-        out._backward = backward
+        out._node.parents = tracked
+        out._node.backward = backward
     return out
+
+
+def _tracked(t: Tensor) -> _Node | None:
+    """The node a backward closure sends t's gradient to; None when t is
+    not tracked."""
+    return t._node if t.requires_grad else None
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -160,19 +202,22 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise ShapeMismatch(f"add: cannot broadcast {a.shape} with {b.shape}")
+    an, bn, a_shape, b_shape = _tracked(a), _tracked(b), a.shape, b.shape
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+        if an is not None:
+            an.accumulate(_unbroadcast(g, a_shape))
+        if bn is not None:
+            bn.accumulate(_unbroadcast(g, b_shape))
 
     return _make(data, (a, b), backward)
 
 
 def neg(a: Tensor) -> Tensor:
+    an = a._node
+
     def backward(g):
-        a._accumulate(-g, owned=True)
+        an.accumulate(-g, owned=True)
 
     return _make(-a.data, (a,), backward)
 
@@ -182,19 +227,25 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data * b.data
     except ValueError:
         raise ShapeMismatch(f"mul: cannot broadcast {a.shape} with {b.shape}")
+    an, bn, a_shape, b_shape = _tracked(a), _tracked(b), a.shape, b.shape
+    # each gradient reads the other factor
+    a_data = a.data if bn is not None else None
+    b_data = b.data if an is not None else None
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape), owned=True)
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape), owned=True)
+        if an is not None:
+            an.accumulate(_unbroadcast(g * b_data, a_shape), owned=True)
+        if bn is not None:
+            bn.accumulate(_unbroadcast(g * a_data, b_shape), owned=True)
 
     return _make(data, (a, b), backward)
 
 
 def absolute(a: Tensor) -> Tensor:
+    an, a_data = a._node, a.data
+
     def backward(g):
-        a._accumulate(np.sign(a.data) * g, owned=True)
+        an.accumulate(np.sign(a_data) * g, owned=True)
 
     return _make(np.abs(a.data), (a,), backward)
 
@@ -215,25 +266,31 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     data = np.matmul(a.data, b.data)
     if bias is not None:
         data += bias.data
+    an, bn = _tracked(a), _tracked(b)
+    biasn = None if bias is None else _tracked(bias)
+    a_shape, b_shape = a.shape, b.shape
+    # a's gradient reads b, and b's reads a
+    a_data = a.data if bn is not None else None
+    b_data = b.data if an is not None else None
 
     def backward(g):
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(_unbroadcast(g, bias.shape), owned=True)
-        if b.ndim == 2:
+        if biasn is not None:
+            biasn.accumulate(_unbroadcast(g, b_shape[-1:]), owned=True)
+        if len(b_shape) == 2:
             # b is a weight: fold every leading axis of a into one GEMM
-            k, n = b.shape
+            k, n = b_shape
             g2 = g.reshape(-1, n)
-            if a.requires_grad:
-                a._accumulate((g2 @ b.data.T).reshape(a.shape), owned=True)
-            if b.requires_grad:
-                b._accumulate(a.data.reshape(-1, k).T @ g2, owned=True)
+            if an is not None:
+                an.accumulate((g2 @ b_data.T).reshape(a_shape), owned=True)
+            if bn is not None:
+                bn.accumulate(a_data.reshape(-1, k).T @ g2, owned=True)
             return
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accumulate(_unbroadcast(ga, a.shape), owned=True)
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.shape), owned=True)
+        if an is not None:
+            ga = np.matmul(g, np.swapaxes(b_data, -1, -2))
+            an.accumulate(_unbroadcast(ga, a_shape), owned=True)
+        if bn is not None:
+            gb = np.matmul(np.swapaxes(a_data, -1, -2), g)
+            bn.accumulate(_unbroadcast(gb, b_shape), owned=True)
 
     return _make(data, (a, b) if bias is None else (a, b, bias), backward)
 
@@ -245,17 +302,19 @@ def add_bias(x: Tensor, bias: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    old = x.shape
+    xn, old = x._node, x.shape
 
     def backward(g):
-        x._accumulate(g.reshape(old))
+        xn.accumulate(g.reshape(old))
 
     return _make(x.data.reshape(shape), (x,), backward)
 
 
 def swap_axes(x: Tensor, axis1: int, axis2: int) -> Tensor:
+    xn = x._node
+
     def backward(g):
-        x._accumulate(np.swapaxes(g, axis1, axis2))
+        xn.accumulate(np.swapaxes(g, axis1, axis2))
 
     return _make(np.swapaxes(x.data, axis1, axis2), (x,), backward)
 
@@ -271,7 +330,7 @@ _ERF_P = np.float32(0.5) * np.array(
      -7.34990630326855e-04, -2.95459980854025e-03, -1.60960333262415e-02], np.float32)
 _ERF_Q = np.array([-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
                    -7.37332916720468e-03, -1.42647390514189e-02], np.float32)
-# Elements per block of gelu and of its backward. A forward block is about
+# Elements per block of gelu and of its derivative. A forward block is about
 # 28 short ufunc calls, and the GIL changes hands between them, so two
 # threads in gelu at once convoy on it unless each call runs long enough.
 # On a [3840, 352] float32 activation (2-vCPU x86 VM, BLAS on one thread),
@@ -318,21 +377,36 @@ def _phi32(x: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape)
 
 
+def _gelu_derivative(x: np.ndarray, cdf: np.ndarray, out: np.ndarray,
+                     scratch: np.ndarray) -> None:
+    """Phi(x) + x phi(x), gelu's derivative, into out, given Phi(x) in cdf
+    and one scratch array of x's size."""
+    c = np.clip(x, -_PDF_CLAMP, _PDF_CLAMP, out=scratch)    # no overflow
+    pdf = np.square(c, out=out)
+    pdf *= -0.5
+    np.exp(pdf, out=pdf)
+    pdf /= np.sqrt(x.dtype.type(2.0 * np.pi))
+    pdf *= c
+    pdf += cdf
+
+
 def gelu(x: Tensor, out: np.ndarray | None = None) -> Tensor:
     """Gaussian-error-linear unit x * Phi(x).
 
     float32 takes Phi from a rational erf within 3e-7 of the exact value,
-    block by block straight into the output; it keeps Phi for backward only
-    when x requires grad, and otherwise holds one block of it. float64 takes
-    the C library's erf element by element, which the gradient checks
-    differentiate. At -inf the output is its limit 0, and the gradient is 1
-    at inf and 0 at -inf.
+    block by block straight into the output, holding one block of it.
+    float64 takes the C library's erf element by element, which the gradient
+    checks differentiate. When x requires grad, forward also computes the
+    derivative Phi(x) + x phi(x) (block by block in float32) and keeps it
+    alone, so backward is one product with the output gradient and reads
+    neither x nor Phi. At -inf the output is its limit 0, and the gradient
+    is 1 at inf and 0 at -inf.
 
     out, as in numpy, is a C-contiguous array of x's shape and dtype that
     receives the result and becomes its data. It may be x.data itself when
-    x records no graph (backward reads x), and must not overlap x otherwise.
-    Each block is read whole before it is written, so the bytes are those of
-    an allocated output either way.
+    x records no graph, and must not overlap x otherwise. Each block is read
+    whole before it is written, so the bytes are those of an allocated
+    output either way.
     """
     xd = x.data
     flat = xd.reshape(-1)
@@ -347,35 +421,27 @@ def gelu(x: Tensor, out: np.ndarray | None = None) -> Tensor:
         raise ShapeMismatch("gelu: out may overlap x only by being the data of an x "
                             "that records no graph")
     data = out.reshape(-1)
+    deriv = np.empty(n, xd.dtype) if x.requires_grad else None
     if xd.dtype == np.float32:
-        cdf = np.empty(n if x.requires_grad else min(n, _PHI_BLOCK), np.float32)
+        cdf = np.empty(min(n, _PHI_BLOCK), np.float32)
         scratch = [np.empty(min(n, _PHI_BLOCK), np.float32) for _ in range(3)]
         for lo in range(0, n, _PHI_BLOCK):
             xb = flat[lo:lo + _PHI_BLOCK]
-            p = _phi32_block(xb, cdf[lo:lo + xb.size] if x.requires_grad else cdf[:xb.size],
-                             scratch)
+            p = _phi32_block(xb, cdf[:xb.size], scratch)
+            if deriv is not None:
+                _gelu_derivative(xb, p, deriv[lo:lo + xb.size], scratch[0][:xb.size])
             d = np.maximum(xb, lowest, out=data[lo:lo + xb.size])
             d *= p
     else:
         cdf = 0.5 * (1.0 + erf(flat / np.sqrt(xd.dtype.type(2.0))))
+        if deriv is not None:
+            _gelu_derivative(flat, cdf, deriv, np.empty_like(flat))
         np.maximum(flat, lowest, out=data)
         data *= cdf
+    xn, shape = x._node, xd.shape
 
     def backward(g):
-        gflat = g.reshape(-1)
-        grad = np.empty(n, xd.dtype)
-        xc = np.empty(min(n, _PHI_BLOCK), xd.dtype)
-        for lo in range(0, n, _PHI_BLOCK):
-            hi = min(lo + _PHI_BLOCK, n)
-            c = np.clip(flat[lo:hi], -_PDF_CLAMP, _PDF_CLAMP, out=xc[:hi - lo])  # no overflow
-            pdf = np.square(c, out=grad[lo:hi])
-            pdf *= -0.5
-            np.exp(pdf, out=pdf)
-            pdf /= np.sqrt(xd.dtype.type(2.0 * np.pi))
-            pdf *= c
-            pdf += cdf[lo:hi]
-            pdf *= gflat[lo:hi]
-        x._accumulate(grad.reshape(xd.shape), owned=True)
+        xn.accumulate(np.multiply(deriv.reshape(shape), g), owned=True)
 
     return _make(out, (x,), backward)
 
@@ -394,23 +460,24 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     dtype = np.result_type(xhat, gain.data, bias.data)
     data = np.multiply(xhat, gain.data, out=sq if sq.dtype == dtype else np.empty_like(sq, dtype))
     data += bias.data
+    xn, gain_n, bias_n, gain_data = _tracked(x), _tracked(gain), _tracked(bias), gain.data
 
     def backward(g):
-        if gain.requires_grad:
-            gain._accumulate((g * xhat).reshape(-1, d).sum(axis=0), owned=True)
-        if bias.requires_grad:
-            bias._accumulate(g.reshape(-1, d).sum(axis=0), owned=True)
-        if x.requires_grad:
+        if gain_n is not None:
+            gain_n.accumulate((g * xhat).reshape(-1, d).sum(axis=0), owned=True)
+        if bias_n is not None:
+            bias_n.accumulate(g.reshape(-1, d).sum(axis=0), owned=True)
+        if xn is not None:
             # inv * (gh - mean(gh) - xhat * mean(gh * xhat)), in gh's buffer.
             # g has the output's dtype, so gh is at least as wide as xhat and
             # inv and no in-place step narrows a result.
-            gh = g * gain.data
+            gh = g * gain_data
             t = gh * xhat
             b = t.mean(axis=-1, keepdims=True)
             gh -= gh.mean(axis=-1, keepdims=True)
             gh -= np.multiply(xhat, b, out=t)
             gh *= inv
-            x._accumulate(gh, owned=True)
+            xn.accumulate(gh, owned=True)
 
     return _make(data, (x, gain, bias), backward)
 
@@ -420,9 +487,10 @@ def softmax(x: Tensor) -> Tensor:
     z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
     s = e / e.sum(axis=-1, keepdims=True)
+    xn = x._node
 
     def backward(g):
-        x._accumulate(s * (g - (g * s).sum(axis=-1, keepdims=True)), owned=True)
+        xn.accumulate(s * (g - (g * s).sum(axis=-1, keepdims=True)), owned=True)
 
     return _make(s, (x,), backward)
 
@@ -433,10 +501,10 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise ShapeMismatch(f"embedding ids outside table of {table.shape[0]} rows")
     data = table.data[ids]
+    tn, (rows, dim) = table._node, table.shape
 
     def backward(g):
-        table._accumulate(_segment_sum(ids.reshape(-1), g.reshape(-1, table.shape[-1]),
-                                       table.shape[0]), owned=True)
+        tn.accumulate(_segment_sum(ids.reshape(-1), g.reshape(-1, dim), rows), owned=True)
 
     return _make(data, (table,), backward)
 
@@ -446,11 +514,11 @@ def gather_positions(x: Tensor, batch_idx: np.ndarray, pos_idx: np.ndarray) -> T
     if x.ndim != 3:
         raise ShapeMismatch(f"gather_positions expects a 3-d tensor, got {x.shape}")
     data = x.data[batch_idx, pos_idx]
+    xn, (b, l, c) = x._node, x.shape
 
     def backward(g):
-        b, l, c = x.shape
         flat = np.ravel_multi_index((batch_idx, pos_idx), (b, l))
-        x._accumulate(_segment_sum(flat, g, b * l).reshape(b, l, c), owned=True)
+        xn.accumulate(_segment_sum(flat, g, b * l).reshape(b, l, c), owned=True)
 
     return _make(data, (x,), backward)
 
@@ -489,10 +557,11 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     every ufunc and reduction acts within one row, so the bits do not
     depend on the block size. Returns the output and a function that maps
     its gradient to the gradients of q, k and v; the backward's only
-    score-sized scratch is one block.
+    score-sized scratch is one block, and it reads the scaled q, k, v, the
+    weights and the output, never q itself.
     """
     dtype = np.result_type(q, k, v)
-    batch, heads, lq, _ = q.shape
+    batch, heads, lq, _ = q_shape = q.shape
     lk = k.shape[-2]
     rows = max(1, _ATTENTION_BLOCK_BYTES // max(1, heads * lq * lk * dtype.itemsize))
     blocks = [slice(lo, lo + rows) for lo in range(0, batch, rows)]
@@ -514,7 +583,7 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
         np.matmul(pb, v[b], out=out[b])
 
     def grads(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        gq, gk, gv = np.empty(q.shape, dtype), np.empty(k.shape, dtype), np.empty(v.shape, dtype)
+        gq, gk, gv = np.empty(q_shape, dtype), np.empty(k.shape, dtype), np.empty(v.shape, dtype)
         vt = np.swapaxes(v, -1, -2)
         scratch = np.empty((min(rows, batch), heads, lq, lk), dtype)
         for b in blocks:
@@ -554,11 +623,12 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
                 f"attention: padding_mask {padding_mask.shape} vs batch/keys "
                 f"({q.shape[0]}, {k.shape[-2]})")
     data, grads = _attention(q.data, k.data, v.data, padding_mask)
+    nodes = (_tracked(q), _tracked(k), _tracked(v))
 
     def backward(g):
-        for t, gt in zip((q, k, v), grads(g)):
-            if t.requires_grad:
-                t._accumulate(gt, owned=True)
+        for node, gt in zip(nodes, grads(g)):
+            if node is not None:
+                node.accumulate(gt, owned=True)
 
     return _make(data, (q, k, v), backward)
 
@@ -605,11 +675,12 @@ def packed_attention(q: Tensor, k: Tensor, v: Tensor, padding_mask: np.ndarray,
 
     data, grads = _attention(split(q.data), split(k.data), split(v.data),
                              None if dense else padding_mask)
+    nodes = ((_tracked(q), q.ndim), (_tracked(k), 2), (_tracked(v), 2))
 
     def backward(g):
-        for t, gt in zip((q, k, v), grads(split(g))):
-            if t.requires_grad:
-                t._accumulate(merge(gt, t.ndim), owned=True)
+        for (node, ndim), gt in zip(nodes, grads(split(g))):
+            if node is not None:
+                node.accumulate(merge(gt, ndim), owned=True)
 
     return _make(merge(data, q.ndim), (q, k, v), backward)
 
@@ -633,11 +704,12 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     lse = np.log(np.exp(z).sum(axis=-1))
     nll = lse - z[np.arange(n), targets]
     data = np.asarray(nll.mean(), dtype=logits.dtype)
+    ln = logits._node
 
     def backward(g):
         p = np.exp(z - lse[:, None])
         p[np.arange(n), targets] -= 1.0
-        logits._accumulate(p * (g / n), owned=True)
+        ln.accumulate(p * (g / n), owned=True)
 
     return _make(data, (logits,), backward)
 

@@ -334,11 +334,12 @@ class EvalReport:
 
 def read_manifest(path: str | Path) -> list[ManifestRow]:
     """CSV with header path,label[,style,algorithm,published]; label must be
-    human or ai. Relative paths resolve against the manifest's directory."""
+    human or ai. Relative paths resolve against the manifest's directory.
+    A leading UTF-8 byte-order mark, as spreadsheets write, is skipped."""
     path = Path(path)
     base = path.parent
     try:
-        text = path.read_bytes().decode("utf-8")
+        text = path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ManifestMalformed(f"{path}: not UTF-8 text: {exc.reason}")
     reader = csv.DictReader(io.StringIO(text, newline=""))

@@ -99,6 +99,16 @@ def test_corpus_file_not_utf8_rejected(tmp_path):
         read_corpus_file(bad)
 
 
+def test_corpus_file_skips_a_byte_order_mark(tmp_path):
+    """Spreadsheets save "CSV UTF-8" with a leading BOM. It is not part of
+    the first source id, which seeds that row's augment variants."""
+    text = "src\t16th\t60 61\nnext\t16th\t62\n"
+    marked = tmp_path / "a.tokens"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    got = [(s.source_id, s.tokens.tolist()) for s in read_corpus_file(marked)]
+    assert got == [("src", [60, 61]), ("next", [62])]
+
+
 @pytest.mark.parametrize("token", ["1_2", "+60", "٦٠", "-1", "6e1", "0x3c"])
 def test_corpus_token_ids_must_be_ascii_decimal(tmp_path, token):
     path = tmp_path / "a.tokens"
@@ -411,6 +421,43 @@ def test_train_deterministic_checkpoints(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+# sha256 of the checkpoint and of the .metrics that the seeded two-epoch run
+# below writes, recorded before graph nodes kept only the arrays their
+# backward reads; how a step holds its graph must not move a bit.
+TRAIN_SHA256 = ("0b0438836aad4c928063a4a64c2b46cf72748e0fd3ec3ab50fb4cc1114679415",
+                "c7702299807a1a2a693d7bac87a6d67cd3abb620e99c7eca53f176f133f3c7e5")
+
+
+def test_train_output_bytes_pinned(tmp_path, monkeypatch):
+    ranges = []
+
+    def counted(batch, row_ranges=model._row_ranges):
+        out = row_ranges(batch)
+        ranges.append(len(out))
+        return out
+
+    monkeypatch.setattr(model, "_row_ranges", counted)
+    rng = np.random.default_rng(11)
+    tok = tmp_path / "tok"
+    tok.mkdir()
+    lines = []
+    for i in range(24):     # ragged rows of 40 to 299 tokens, about one REST in ten
+        row = rng.integers(40, 90, size=int(rng.integers(40, 300)))
+        row[rng.random(len(row)) < 0.1] = model.ModelConfig().rest_id
+        lines.append(f"s{i}\t16th\t{' '.join(map(str, row))}\n")
+    (tok / "rows.tokens").write_text("".join(lines), encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": SMALL_MODEL, "train": {"batch_size": 12}}),
+                      encoding="utf-8")
+    out = tmp_path / "m.psae"
+    assert main(["train", "--corpus", str(tok), "--config", str(config), "--out", str(out),
+                 "--epochs", "2", "--seed", "5"]) == 0
+    assert max(ranges) > 1      # some batches train as several row ranges
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in (out, out.with_name(out.name + ".metrics")))
+    assert digests == TRAIN_SHA256
+
+
 def test_config_precedence_flag_over_file_over_default(tmp_path, monkeypatch):
     captured = {}
 
@@ -451,6 +498,13 @@ def test_config_precedence_flag_over_file_over_default(tmp_path, monkeypatch):
     assert captured["hyper"].learning_rate == 1e-3
     assert captured["hyper"].flood_b == 0.05
     assert captured["hyper"].seed == 0
+
+
+def test_config_file_skips_a_byte_order_mark(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_bytes(b"\xef\xbb\xbf" + json.dumps({"seed": 42, "model": SMALL_MODEL}).encode())
+    run = cli.load_run_config(config)
+    assert run["seed"] == 42 and run["model"] == SMALL_MODEL
 
 
 def test_unknown_config_keys_rejected(tmp_path, capsys):

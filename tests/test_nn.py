@@ -201,6 +201,27 @@ def test_float32_gelu_gradient_matches_float64_formula():
     np.testing.assert_array_equal(t.grad[-6:], [1, 1, 1, 0, 0, 0])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_gradient_keeps_the_bytes_of_its_formula(dtype):
+    """x's gradient is (Phi(x) + x phi(x)) g, with x clipped to +-40 (where
+    phi is exactly 0) and phi formed as exp(x^2 * -0.5) / sqrt(2 pi): the
+    bytes of that sequence, whether forward keeps the derivative or
+    backward forms it."""
+    rng = np.random.default_rng(37)
+    f = np.finfo(dtype)
+    edges = [0.0, -0.0, np.inf, -np.inf, f.max, f.min, f.tiny, -f.tiny, 40.0, -40.0]
+    x = np.concatenate([rng.normal(scale=4, size=2 * nn._PHI_BLOCK + 11).astype(dtype),
+                        np.array(edges, dtype)])
+    g = rng.normal(size=x.shape).astype(dtype)
+    t = nn.Tensor(x, requires_grad=True)
+    nn.gelu(t)._backward(g)
+    cdf = nn._phi32(x) if dtype == np.float32 else 0.5 * (1.0 + nn.erf(x / np.sqrt(dtype(2.0))))
+    c = np.clip(x, -40.0, 40.0)
+    pdf = np.exp(np.square(c) * -0.5) / np.sqrt(dtype(2.0 * np.pi))
+    assert t.grad.dtype == dtype
+    assert t.grad.tobytes() == ((cdf + c * pdf) * g).tobytes()
+
+
 def test_float64_gelu_gradient_at_huge_inputs():
     t = t64([1e200, -1e200])
     out = nn.gelu(t)

@@ -595,6 +595,13 @@ def test_manifest_row_with_extra_fields_rejected(tmp_path):
         read_manifest(extra)
 
 
+def test_manifest_skips_a_byte_order_mark(tmp_path):
+    marked = tmp_path / "m.csv"
+    marked.write_bytes(b"\xef\xbb\xbfpath,label\na.mid,human\n")
+    rows = read_manifest(marked)
+    assert len(rows) == 1 and rows[0].path.endswith("a.mid") and rows[0].label == "human"
+
+
 def test_manifest_not_utf8_rejected(tmp_path):
     latin = tmp_path / "latin.csv"
     latin.write_bytes("path,label\nbl\u00e5.mid,ai\n".encode("latin-1"))
