@@ -99,6 +99,10 @@ class ModelConfig:
             raise InvalidConfig(
                 f"vocab_size must be output_classes + 3 (REST/MASK/PAD), "
                 f"got {self.vocab_size} vs {self.output_classes}")
+        if self.output_classes > PITCH_CLASSES:
+            raise InvalidConfig(
+                f"output_classes must be at most {PITCH_CLASSES}: REST is id {PITCH_CLASSES} "
+                f"in every corpus, got {self.output_classes}")
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -305,10 +309,11 @@ def pad_batch(token_rows: list[np.ndarray], pad_id: int) -> tuple[np.ndarray, np
 
 
 def _token_rows(sequences, config: ModelConfig) -> list[np.ndarray]:
-    """Raw token rows as int64 arrays. A raw row holds pitches and REST
-    only: MASK and PAD are the batcher's to place, so any other id raises
-    UnknownToken."""
-    rows = [np.asarray(getattr(s, "tokens", s), dtype=np.int64) for s in sequences]
+    """Raw token rows, each its sequence's own integer array: a
+    PitchSequence's int16 tokens are used as they are, not copied; pad_batch
+    writes the int64 batch. A raw row holds pitches and REST only: MASK and
+    PAD are the batcher's to place, so any other id raises UnknownToken."""
+    rows = [np.asarray(getattr(s, "tokens", s)) for s in sequences]
     for i, row in enumerate(rows):
         if row.size and (row.min() < 0 or row.max() > config.rest_id):
             raise UnknownToken(
@@ -362,9 +367,7 @@ def flooded_loss(l_origin, flood_b: float):
     numpy scalars keep their dtype."""
     if flood_b < 0:
         raise ValueError(f"flood level must be >= 0, got {flood_b}")
-    if isinstance(l_origin, (nn.Tensor, np.floating)):
-        return abs(l_origin - flood_b) + flood_b
-    return abs(float(l_origin) - flood_b) + flood_b
+    return abs(l_origin - flood_b) + flood_b
 
 
 @dataclass(frozen=True)
@@ -528,15 +531,24 @@ def train(corpus, config: ModelConfig, hyper: TrainHyper,
     memory is bounded by the range size, not the batch; the split depends
     on the batch alone, so the result does not depend on the CPU count.
 
+    The corpus is held once: each row is its sequence's own token array
+    (a PitchSequence's int16 tokens), and only a padded batch is int64.
+    Every row's ids (UnknownToken) and length (SequenceTooLong) are
+    checked before the first step, and the error names the row.
+
     Per-epoch metrics (raw_loss, flooded_loss, masked_accuracy, all
     averaged over masked positions) go to metadata["history"] and to the
     optional on_epoch callback.
     """
     hyper.validate()
+    params = init_model(config, hyper.seed)   # validates config before the rows meet it
     rows = _token_rows(corpus, config)
     if not rows:
         raise nn.EmptyBatch("empty training corpus")
-    params = init_model(config, hyper.seed)
+    for i, row in enumerate(rows):
+        if len(row) > config.max_position:
+            raise SequenceTooLong(f"sequence {i}: length {len(row)} exceeds max_position "
+                                  f"{config.max_position}")
     optimizer = nn.AdamW(params.tensors, learning_rate=hyper.learning_rate,
                          weight_decay=hyper.weight_decay)
     rng = np.random.default_rng([hyper.seed, 0x5eed])

@@ -1,5 +1,6 @@
 """Command-line pipeline: formats, determinism, precedence, exit codes."""
 
+import argparse
 import hashlib
 import json
 import multiprocessing
@@ -535,6 +536,7 @@ def test_unknown_config_keys_rejected(tmp_path, capsys):
     (["--epochs", "0"], {}),
     ([], {"train": {"weight_decay": "x"}}),
     ([], {"model": {**SMALL_MODEL, "embed_dim": "64"}}),
+    ([], {"model": {"output_classes": 200, "vocab_size": 203}}),   # REST would be a class
 ])
 def test_train_rejects_invalid_hyperparameters(tmp_path, capsys, flags, config):
     midi_dir = tmp_path / "midi"
@@ -711,6 +713,26 @@ def test_mangled_corpus_and_checkpoint_exit_one(tmp_path, capsys):
     assert main(["score", "--model", str(bad_model),
                  "--midi", str(midi_dir / "clip000.mid")]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_readme_synopsis_lists_every_option():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    synopsis: dict[str, str] = {}   # command -> its lines of the block
+    command = None
+    for line in block.splitlines():
+        if line.startswith("psae "):
+            command = line.split()[1]
+        if command is not None:
+            synopsis[command] = synopsis.get(command, "") + line + "\n"
+    commands = next(action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    assert set(synopsis) == set(commands)
+    missing = [(name, option) for name, parser in commands.items()
+               for action in parser._actions for option in action.option_strings
+               if option not in ("-h", "--help")
+               and not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", synopsis[name])]
+    assert missing == []
 
 
 def test_importing_psae_loads_no_scipy():

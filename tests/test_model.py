@@ -8,6 +8,7 @@ import pytest
 
 from psae import checkpoint as ckpt
 from psae import model, nn, parallel
+from psae.quantize import GridUnit, PitchSequence, SequenceTooLong
 from helpers import max_fd_rel_err, resealed
 
 MINI = model.ModelConfig(vocab_size=12, embed_dim=8, hidden_dim=8, num_layers=2,
@@ -70,6 +71,8 @@ def test_invalid_configs_rejected():
         model.ModelConfig(vocab_size=130).validate()
     with pytest.raises(model.InvalidConfig):
         model.ModelConfig(num_layers=0).validate()
+    with pytest.raises(model.InvalidConfig, match="output_classes must be at most 128"):
+        model.ModelConfig(output_classes=200, vocab_size=203).validate()   # REST would be a class
     with pytest.raises(model.InvalidConfig):
         model.init_model(model.ModelConfig(embed_dim=32), 0)
 
@@ -582,6 +585,12 @@ def test_raw_rows_hold_only_pitches_and_rest(bad):
         model.train([row], cfg, model.TrainHyper(epochs=1))
 
 
+def test_token_rows_are_the_sequences_own_tokens():
+    seqs = [PitchSequence(tokens=np.arange(40, 40 + n), grid=GridUnit.SIXTEENTH) for n in (3, 7)]
+    rows = model._token_rows(seqs, model.ModelConfig())
+    assert all(np.shares_memory(row, seq.tokens) for row, seq in zip(rows, seqs))
+
+
 def test_mlm_batch_bert_strategy_keeps_targets():
     cfg = model.ModelConfig()
     tokens = np.arange(200) % 128
@@ -718,6 +727,22 @@ def test_train_restores_blas_threads_also_on_error():
         with pytest.raises(model.NonFiniteLoss):
             model.train(scale_corpus(rows, length=128), model.ModelConfig(), hyper)
     assert blas.get_threads() == before
+
+
+def test_train_rejects_a_long_row_before_the_first_step(monkeypatch):
+    cfg = dataclasses.replace(MINI_TRAIN, max_position=64)
+    corpus = scale_corpus(255, length=60)
+    corpus.insert(200, scale_corpus(1, length=100)[0])
+    batches = []
+
+    def counted(*args, make=model.make_mlm_batch, **kwargs):
+        batches.append(1)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(model, "make_mlm_batch", counted)
+    with pytest.raises(SequenceTooLong, match="sequence 200: length 100 exceeds max_position 64"):
+        model.train(corpus, cfg, model.TrainHyper(epochs=1, batch_size=16))
+    assert batches == []
 
 
 def test_train_reports_per_epoch_metrics():
