@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PsaeError
-from .quantize import PITCH_CLASSES, PitchSequence
+from .quantize import PITCH_CLASSES, PitchSequence, checked_tokens
 
 
 class NoPitchTokens(PsaeError):
@@ -145,11 +145,14 @@ def expand_sequence_detailed(seq: PitchSequence, policy: AugmentPolicy) -> list[
         # scalar draws in index order: array bounds would consume the stream differently
         for i in chosen:
             cuts[i] = int(rng.integers(lo, hi + 1))
+    # The source's ids are checked here, once: they stay writable after it
+    # was made. A legal shift keeps every pitch in range and 1 <= k < len
+    # keeps every row's length valid, so no variant is checked again.
+    tokens = checked_tokens(seq.tokens)
     # one int16 row per shift, RESTs left in place; each variant views its own row
-    tokens = seq.tokens
     block = tokens + np.where(tokens < PITCH_CLASSES, np.array(shifts, dtype=np.int16)[:, None], 0)
-    return [AugmentedVariant(PitchSequence(row[k:], seq.grid,
-                                           name if k is None else f"{name}#k{k}"),
+    return [AugmentedVariant(PitchSequence._unchecked(row[k:], seq.grid,
+                                                      name if k is None else f"{name}#k{k}"),
                              seq.source_id, shift, k)
             for row, shift, name, k in zip(block, shifts, names, cuts)]
 

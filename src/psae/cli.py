@@ -13,6 +13,7 @@ built-in default.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -58,11 +59,30 @@ def _atomic_write(path: Path, data: bytes | str, tmp_dir: Path | None = None) ->
         raise
 
 
+# Folders _private_dir has made in this process for the running command.
+# A forked worker inherits its parent's, whose names hold the parent's pid.
+_made_dirs: set[Path] = set()
+
+
 def _private_dir(tmp_root: Path) -> Path:
-    """This process's own folder for temporary files under tmp_root."""
+    """This process's own folder for temporary files under tmp_root, made
+    by the process's first call."""
     folder = tmp_root / str(os.getpid())
-    folder.mkdir(exist_ok=True)
+    if folder not in _made_dirs:
+        folder.mkdir(exist_ok=True)
+        _made_dirs.add(folder)
     return folder
+
+
+@contextlib.contextmanager
+def _tmp_root(out_dir: Path):
+    """A hidden folder under out_dir for the processes' private folders,
+    removed on exit, when _private_dir forgets them."""
+    try:
+        with tempfile.TemporaryDirectory(dir=out_dir, prefix=".psae-") as tmp:
+            yield Path(tmp)
+    finally:
+        _made_dirs.clear()
 
 
 # ---------------------------------------------------------------- config
@@ -129,8 +149,8 @@ def cmd_preprocess(input_dir: str, output_dir: str, seed: int = 0) -> int:
     for path in files:
         first_of.setdefault(path.stem, path)
     unique = [p for p in files if first_of[p.stem] is p]
-    with tempfile.TemporaryDirectory(dir=out_dir, prefix=".psae-") as tmp:
-        work = functools.partial(_preprocess_file, out_dir=out_dir, tmp_root=Path(tmp), seed=seed)
+    with _tmp_root(out_dir) as tmp:
+        work = functools.partial(_preprocess_file, out_dir=out_dir, tmp_root=tmp, seed=seed)
         done = iter(parallel.process_map(work, unique))
     grid_histogram = {g: 0 for g in GridUnit}
     errors: list[tuple[str, str]] = []
@@ -175,8 +195,8 @@ def cmd_augment(input_dir: str, output_dir: str, policy: AugmentPolicy) -> int:
         raise NoInputs(f"no {TOKENS_SUFFIX} files in {input_dir}")
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(dir=out_dir, prefix=".psae-") as tmp:
-        work = functools.partial(_augment_file, out_dir=out_dir, tmp_root=Path(tmp), policy=policy)
+    with _tmp_root(out_dir) as tmp:
+        work = functools.partial(_augment_file, out_dir=out_dir, tmp_root=tmp, policy=policy)
         blocks = parallel.process_map(work, files)
     manifest = ["variant_id\tsource_id\tshift\ttruncation"]
     for block in blocks:

@@ -23,18 +23,19 @@ class CorpusFormatError(PsaeError):
     pass
 
 
-_TOKEN_TEXT = {i: str(i) for i in range(REST_ID + 1)}  # any other id raises KeyError
-# Token ids as format_sequence spells them: ASCII digits between whitespace.
+# Each id's text plus its separator, NUL-padded to 4 bytes ("128 " fills
+# them) and read as one uint32: word t ends in a space, word REST_ID + 1 + t
+# ends a line. format_corpus gathers one word per token and drops the NULs.
+_TOKEN_WORDS = np.frombuffer(b"".join(f"{i}{sep}".encode().ljust(4, b"\0")
+                                      for sep in " \n" for i in range(REST_ID + 1)),
+                             dtype=np.uint32)
+# Token ids as format_corpus spells them: ASCII digits between whitespace.
 # int() alone would also read "1_2", "+60" or other scripts' digits.
 _DECIMAL_IDS = re.compile(r"[0-9\s]*", re.ASCII)
 
 
 def format_sequence(seq: PitchSequence) -> str:
-    try:
-        ids = " ".join([_TOKEN_TEXT[t] for t in seq.tokens.tolist()])
-    except KeyError as exc:
-        raise CorpusFormatError(f"{seq.source_id!r}: token {exc.args[0]} outside 0..{REST_ID}")
-    return f"{seq.source_id}\t{seq.grid.value}\t{ids}"
+    return format_corpus([seq])[:-1]
 
 
 def parse_sequence_line(line: str) -> PitchSequence:
@@ -49,15 +50,32 @@ def parse_sequence_line(line: str) -> PitchSequence:
     if _DECIMAL_IDS.fullmatch(ids) is None:
         raise CorpusFormatError(f"token ids of {source_id!r} are not ASCII decimal")
     try:
-        tokens = np.array([int(t) for t in ids.split()], dtype=np.int16)
+        tokens = np.array(ids.split(), dtype=np.int16)
         return PitchSequence(tokens=tokens, grid=grid, source_id=source_id)
     except (ValueError, OverflowError) as exc:
         raise CorpusFormatError(f"bad token list for {source_id!r}: {exc}")
 
 
 def format_corpus(sequences) -> str:
-    """Corpus file text: one formatted line per sequence, each ending in a newline."""
-    return "".join(format_sequence(s) + "\n" for s in sequences)
+    """Corpus file text: one formatted line per sequence, each ending in a
+    newline. An id outside 0..REST_ID raises CorpusFormatError naming the
+    first sequence that holds one."""
+    sequences = list(sequences)
+    if not sequences:
+        return ""
+    tokens = np.concatenate([s.tokens for s in sequences])
+    ends = np.cumsum([len(s.tokens) for s in sequences])
+    # explicit: the gather would read -1 as the table's last word
+    bad = (tokens < 0) | (tokens > REST_ID)
+    if bad.any():
+        at = int(bad.argmax())
+        seq = sequences[int(np.searchsorted(ends, at, side="right"))]
+        raise CorpusFormatError(f"{seq.source_id!r}: token {int(tokens[at])} outside 0..{REST_ID}")
+    words = tokens.astype(np.intp)
+    words[ends - 1] += REST_ID + 1
+    ids = _TOKEN_WORDS[words].tobytes().translate(None, b"\0").decode("ascii")
+    return "".join([f"{s.source_id}\t{s.grid.value}\t{line}\n"
+                    for s, line in zip(sequences, ids.split("\n"))])
 
 
 def write_corpus_file(path: str | Path, sequences: list[PitchSequence]) -> None:

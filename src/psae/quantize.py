@@ -51,6 +51,22 @@ class GridUnit(enum.Enum):
         return ticks_per_quarter / self.steps_per_quarter
 
 
+def checked_tokens(tokens) -> np.ndarray:
+    """tokens as a 1-D int16 array of 1..MAX_SEQ_LEN pitch ids and RESTs,
+    or ValueError."""
+    # Checked before the int16 cast, which would wrap 65596 to 60 and
+    # truncate 60.7 to 60 without a word.
+    tokens = np.asarray(tokens)
+    if tokens.ndim != 1 or not 1 <= len(tokens) <= MAX_SEQ_LEN:
+        raise ValueError(f"token count {tokens.shape} outside 1..{MAX_SEQ_LEN}")
+    if tokens.dtype.kind not in "biuf" or (tokens.dtype.kind == "f"
+                                          and not (tokens == np.round(tokens)).all()):
+        raise ValueError(f"tokens must be integers, got {tokens.dtype} values")
+    if tokens.min() < 0 or tokens.max() > REST_ID:
+        raise ValueError("tokens must be pitch ids in [0, 127] or REST")
+    return tokens.astype(np.int16, copy=False)
+
+
 @dataclass(eq=False)
 class PitchSequence:
     """Grid-quantized token sequence for one clip.
@@ -64,17 +80,15 @@ class PitchSequence:
     source_id: str = ""
 
     def __post_init__(self):
-        # Checked before the int16 cast, which would wrap 65596 to 60 and
-        # truncate 60.7 to 60 without a word.
-        tokens = np.asarray(self.tokens)
-        if tokens.ndim != 1 or not 1 <= len(tokens) <= MAX_SEQ_LEN:
-            raise ValueError(f"token count {tokens.shape} outside 1..{MAX_SEQ_LEN}")
-        if tokens.dtype.kind not in "biuf" or (tokens.dtype.kind == "f"
-                                              and not (tokens == np.round(tokens)).all()):
-            raise ValueError(f"tokens must be integers, got {tokens.dtype} values")
-        if tokens.min() < 0 or tokens.max() > REST_ID:
-            raise ValueError("tokens must be pitch ids in [0, 127] or REST")
-        self.tokens = tokens.astype(np.int16, copy=False)
+        self.tokens = checked_tokens(self.tokens)
+
+    @classmethod
+    def _unchecked(cls, tokens: np.ndarray, grid: GridUnit, source_id: str) -> "PitchSequence":
+        """A sequence over tokens that are already 1-D int16 pitch ids and
+        RESTs of a valid length: the checks of __post_init__ are skipped."""
+        seq = object.__new__(cls)
+        seq.tokens, seq.grid, seq.source_id = tokens, grid, source_id
+        return seq
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -116,6 +130,8 @@ def resolve_triplets(notes: list[NoteEvent], rng: np.random.Generator,
     probability 1/2. Later onsets shift by the group's length change, so
     the clip's total tick length may change. Triplet-free input passes
     through unchanged."""
+    if not any(_is_triplet_duration(n.duration_tick, ticks_per_quarter) for n in notes):
+        return notes   # no group, so no draw and no shift
     tol = ticks_per_quarter / 64.0
     out: list[NoteEvent] = []
     shift = 0

@@ -338,3 +338,12 @@ def test_variants_share_no_tokens_with_each_other_or_source():
         assert (seq.tokens == source).all()
         for v, want in zip(variants, expected):
             assert (v.sequence.tokens == want).all()
+
+
+@pytest.mark.parametrize("bad", [-1, 129, 300])
+def test_source_ids_overwritten_after_validation_still_raise(bad):
+    # variants are not checked one by one, so the source is checked late
+    seq = random_seq(np.random.default_rng(3), length=150, source_id="mutated")
+    seq.tokens[70] = bad
+    with pytest.raises(ValueError, match=r"tokens must be pitch ids in \[0, 127\] or REST"):
+        expand_sequence_detailed(seq, AugmentPolicy(seed=1))

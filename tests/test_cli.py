@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import multiprocessing
 import os
@@ -13,14 +14,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import psae
 from psae import cli, model, nn, parallel
 from psae.augment import random_truncate, transpose
 from psae.checkpoint import load_checkpoint
 from psae.cli import main, parse_report_kv, render_report_kv, render_report_text
-from psae.corpus import (CorpusFormatError, format_sequence, parse_sequence_line,
-                         read_corpus_dir, read_corpus_file)
+from psae.corpus import (CorpusFormatError, format_corpus, format_sequence,
+                         parse_sequence_line, read_corpus_dir, read_corpus_file)
 from psae.pipeline import sequence_from_midi_path
-from psae.quantize import GridUnit, PitchSequence
+from psae.quantize import REST_ID, GridUnit, PitchSequence
 from psae.scoring import EvalReport, ManifestRow, evaluate_manifest
 from helpers import notes, resealed, smf_bytes
 
@@ -91,6 +93,44 @@ def test_format_sequence_rejects_out_of_range_token(bad):
     seq.tokens[1] = bad   # tokens stay writable after validation
     with pytest.raises(CorpusFormatError, match=rf"'mutated#t\+2'.*{bad}"):
         format_sequence(seq)
+
+
+def reference_line(seq):
+    return f"{seq.source_id}\t{seq.grid.value}\t" + " ".join(map(str, seq.tokens.tolist()))
+
+
+def test_format_corpus_matches_a_per_token_reference():
+    rng = np.random.default_rng(26)
+    every_id = np.arange(REST_ID + 1, dtype=np.int16)
+    names = ["plain", "clip#t+3#k12", "mélodie", "旋律", "ü\u00a0q", "🎹"]
+    for count in range(1, 41):
+        sequences = []
+        for i in range(count):
+            length = int(rng.choice([1, 2, 128, 129, 384, int(rng.integers(1, 385))]))
+            tokens = rng.integers(0, REST_ID + 1, size=length).astype(np.int16)
+            if length >= len(every_id) and i % 3 == 0:
+                tokens[:len(every_id)] = rng.permutation(every_id)
+            sequences.append(PitchSequence(tokens, GridUnit(("16th", "32nd")[i % 2]),
+                                           f"{names[i % len(names)]}{count}.{i}"))
+        want = "".join(reference_line(s) + "\n" for s in sequences)
+        assert format_corpus(sequences) == want
+        assert format_corpus(iter(sequences)) == want
+        assert [format_sequence(s) for s in sequences] == want.splitlines()
+    assert format_corpus([]) == ""
+    for edge in ([0], [REST_ID], every_id, np.full(384, 127)):
+        seq = PitchSequence(np.asarray(edge, dtype=np.int16), GridUnit.SIXTEENTH, "edge")
+        assert format_sequence(seq) == reference_line(seq)
+
+
+@pytest.mark.parametrize("bad", [-1, 129, 300])
+def test_format_corpus_names_the_first_sequence_with_a_bad_id(bad):
+    sequences = [PitchSequence(np.array([60, 61, 62], dtype=np.int16), GridUnit.SIXTEENTH, sid)
+                 for sid in ("first", "second#t+2", "third")]
+    sequences[1].tokens[2] = bad
+    sequences[2].tokens[0] = 400
+    with pytest.raises(CorpusFormatError,
+                       match=rf"^'second#t\+2': token {bad} outside 0\.\.128$"):
+        format_corpus(sequences)
 
 
 def test_corpus_file_not_utf8_rejected(tmp_path):
@@ -363,6 +403,58 @@ def test_one_and_two_workers_write_the_same_bytes(tmp_path, monkeypatch, seed):
     assert summary.startswith("inputs=12\nwritten=10\nerrors=2\n")
     assert "error file=broken.mid message=" in summary
     assert "error file=clip000.mid message=DuplicateStem: " in summary
+
+
+def test_a_process_makes_its_private_folder_once_per_command(tmp_path, monkeypatch):
+    midi_dir = tmp_path / "midi"
+    write_midi_corpus(midi_dir, count=4)
+    made = []
+    mkdir = Path.mkdir
+
+    def recording_mkdir(self, *args, **kwargs):
+        if self.parent.name.startswith(".psae-"):
+            made.append(self.name)
+        return mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(parallel, "worker_count", lambda: 1)
+    monkeypatch.setattr(Path, "mkdir", recording_mkdir)
+    for argv in (["preprocess", "--in", str(midi_dir), "--out", str(tmp_path / "tok")],
+                 ["augment", "--in", str(tmp_path / "tok"), "--out", str(tmp_path / "aug")]):
+        assert main([*argv, "--seed", "0"]) == 0
+    assert made == [str(os.getpid())] * 2
+    assert cli._made_dirs == set()
+
+
+# sha256 over the names and bytes of preprocess's outputs below, taken from
+# the per-token formatter and the per-note triplet pass preprocess first used
+PREPROCESS_OUTPUT_SHA256 = "dbaa96efc9fdbaeb746b6915aceeb932825de83ab30658f2a7ac3b29eabf2230"
+
+
+@pytest.mark.filterwarnings("ignore:2 tracks contain notes")
+def test_preprocess_output_bytes_pinned(tmp_path, monkeypatch):
+    # The benchmark's seeded prep sample: 16th and 32nd grids, triplets,
+    # tempo maps, format 1, two-track files and the seven planted failures.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).parents[1] / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, inputs)   # its dataclasses look it up
+    spec.loader.exec_module(inputs)
+    midi_dir = tmp_path / "midi"
+    midi_dir.mkdir()
+    for f in inputs.prep_corpus(psae, 0, 120):
+        (midi_dir / f.name).write_bytes(f.data)
+    digests = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(parallel, "worker_count", lambda w=workers: w)
+        out = tmp_path / f"workers{workers}"
+        assert main(["preprocess", "--in", str(midi_dir), "--out", str(out), "--seed", "0"]) == 0
+        digest = hashlib.sha256()
+        for path in sorted(out.iterdir()):
+            digest.update(f"{path.name}\n".encode())
+            digest.update(path.read_bytes())
+        digests[workers] = digest.hexdigest()
+        assert len(list(out.iterdir())) == 120 + 1   # the valid files and the summary
+    assert digests == {1: PREPROCESS_OUTPUT_SHA256, 2: PREPROCESS_OUTPUT_SHA256}
 
 
 # ------------------------------------------------------------------ train
@@ -728,11 +820,22 @@ def test_readme_synopsis_lists_every_option():
     commands = next(action for action in cli.build_parser()._actions
                     if isinstance(action, argparse._SubParsersAction)).choices
     assert set(synopsis) == set(commands)
-    missing = [(name, option) for name, parser in commands.items()
-               for action in parser._actions for option in action.option_strings
-               if option not in ("-h", "--help")
-               and not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", synopsis[name])]
+    missing, misbracketed = [], []
+    for name, parser in commands.items():
+        for action in parser._actions:
+            for option in action.option_strings:
+                if option in ("-h", "--help"):
+                    continue
+                found = re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", synopsis[name])
+                if found is None:
+                    missing.append((name, option))
+                    continue
+                # bracketed exactly when argparse does not require it
+                before = synopsis[name][:found.start()]
+                if (before.count("[") > before.count("]")) == action.required:
+                    misbracketed.append((name, option))
     assert missing == []
+    assert misbracketed == []
 
 
 def test_importing_psae_loads_no_scipy():
