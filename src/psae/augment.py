@@ -11,7 +11,7 @@ so worker scheduling can never reorder randomness.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,6 +49,10 @@ class AugmentPolicy:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.transpositions_per_seq < 1:
             raise ValueError("transpositions_per_seq must be >= 1")
         if not 0 <= self.truncated_per_seq <= self.transpositions_per_seq:

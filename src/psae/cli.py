@@ -13,7 +13,6 @@ built-in default.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import functools
 import json
@@ -59,30 +58,20 @@ def _atomic_write(path: Path, data: bytes | str, tmp_dir: Path | None = None) ->
         raise
 
 
-# Folders _private_dir has made in this process for the running command.
-# A forked worker inherits its parent's, whose names hold the parent's pid.
-_made_dirs: set[Path] = set()
-
-
-def _private_dir(tmp_root: Path) -> Path:
-    """This process's own folder for temporary files under tmp_root, made
-    by the process's first call."""
-    folder = tmp_root / str(os.getpid())
-    if folder not in _made_dirs:
-        folder.mkdir(exist_ok=True)
-        _made_dirs.add(folder)
+def _private_dir(tmp_root: str) -> Path:
+    """This process's own folder for temporary files under tmp_root: the
+    process's first call makes it and later calls find it with a stat,
+    which, unlike a mkdir, does not queue on tmp_root's lock."""
+    folder = Path(tmp_root, str(os.getpid()))
+    if not folder.is_dir():
+        folder.mkdir()
     return folder
 
 
-@contextlib.contextmanager
-def _tmp_root(out_dir: Path):
-    """A hidden folder under out_dir for the processes' private folders,
-    removed on exit, when _private_dir forgets them."""
-    try:
-        with tempfile.TemporaryDirectory(dir=out_dir, prefix=".psae-") as tmp:
-            yield Path(tmp)
-    finally:
-        _made_dirs.clear()
+def _tmp_root(out_dir: Path) -> tempfile.TemporaryDirectory:
+    """A hidden folder under out_dir for the processes' private folders: a
+    with-block yields its path and removes it with everything in it."""
+    return tempfile.TemporaryDirectory(dir=out_dir, prefix=".psae-")
 
 
 # ---------------------------------------------------------------- config
@@ -125,7 +114,12 @@ def load_run_config(path: str | Path | None) -> dict:
 
 # ------------------------------------------------------------- commands
 
-def _preprocess_file(path: Path, out_dir: Path, tmp_root: Path, seed: int):
+def _shown(name: str) -> str:
+    """A file name as the summaries write it: bytes that are not UTF-8 as \\xNN."""
+    return os.fsencode(name).decode("utf-8", "backslashreplace")
+
+
+def _preprocess_file(path: Path, out_dir: Path, tmp_root: str, seed: int):
     """One input of cmd_preprocess: (grid, None) once its tokens are
     written, or (None, message) for a soft error."""
     try:
@@ -145,27 +139,30 @@ def cmd_preprocess(input_dir: str, output_dir: str, seed: int = 0) -> int:
         raise NoInputs(f"no MIDI files in {input_dir}")
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # Soft errors the names decide: a stem that is not UTF-8 cannot seed draws
+    # or name a row, and a stem an earlier file writes is taken.
+    decided: dict[Path, str] = {}
     first_of: dict[str, Path] = {}
     for path in files:
-        first_of.setdefault(path.stem, path)
-    unique = [p for p in files if first_of[p.stem] is p]
+        if _shown(path.name) != path.name:
+            decided[path] = "NonUtf8Name: the file name is not UTF-8"
+        elif first_of.setdefault(path.stem, path) is not path:
+            decided[path] = (f"DuplicateStem: {first_of[path.stem].name} already writes "
+                             f"{path.stem}{TOKENS_SUFFIX}")
     with _tmp_root(out_dir) as tmp:
         work = functools.partial(_preprocess_file, out_dir=out_dir, tmp_root=tmp, seed=seed)
-        done = iter(parallel.process_map(work, unique))
+        done = iter(parallel.process_map(work, [p for p in files if p not in decided]))
     grid_histogram = {g: 0 for g in GridUnit}
-    errors: list[tuple[str, str]] = []
+    errors: list[str] = []
     for path in files:
-        first = first_of[path.stem]
-        grid, message = next(done) if first is path else (
-            None, f"DuplicateStem: {first.name} already writes {path.stem}{TOKENS_SUFFIX}")
+        grid, message = (None, decided[path]) if path in decided else next(done)
         if message is None:
             grid_histogram[grid] += 1
         else:
-            errors.append((path.name, message))
+            errors.append(f"error file={_shown(path.name)} message={message}")
     summary = [f"inputs={len(files)}", f"written={len(files) - len(errors)}",
                f"errors={len(errors)}"]
-    summary += [f"grid_{g.value}={n}" for g, n in grid_histogram.items()]
-    summary += [f"error file={name} message={msg}" for name, msg in errors]
+    summary += [f"grid_{g.value}={n}" for g, n in grid_histogram.items()] + errors
     _atomic_write(out_dir / "preprocess_summary.txt", "\n".join(summary) + "\n")
     print("\n".join(summary[:3 + len(grid_histogram)]))
     if errors:
@@ -173,7 +170,7 @@ def cmd_preprocess(input_dir: str, output_dir: str, seed: int = 0) -> int:
     return 0
 
 
-def _augment_file(path: Path, out_dir: Path, tmp_root: Path, policy: AugmentPolicy) -> list[str]:
+def _augment_file(path: Path, out_dir: Path, tmp_root: str, policy: AugmentPolicy) -> list[str]:
     """One input of cmd_augment: writes its variants and returns their
     manifest lines."""
     expanded, manifest = [], []

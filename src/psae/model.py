@@ -311,14 +311,24 @@ def pad_batch(token_rows: list[np.ndarray], pad_id: int) -> tuple[np.ndarray, np
 def _token_rows(sequences, config: ModelConfig) -> list[np.ndarray]:
     """Raw token rows, each its sequence's own integer array: a
     PitchSequence's int16 tokens are used as they are, not copied; pad_batch
-    writes the int64 batch. A raw row holds pitches and REST only: MASK and
-    PAD are the batcher's to place, so any other id raises UnknownToken."""
-    rows = [np.asarray(getattr(s, "tokens", s)) for s in sequences]
-    for i, row in enumerate(rows):
+    writes the int64 batch. A trainable row holds pitches and REST only
+    (MASK and PAD are the batcher's to place), at least one pitch and at
+    most max_position tokens. Any other row raises, naming its index and
+    source id."""
+    rows = []
+    for i, s in enumerate(sequences):
+        row = np.asarray(getattr(s, "tokens", s))
+        name = f"sequence {i}" + (f" ({s.source_id})" if getattr(s, "source_id", "") else "")
         if row.size and (row.min() < 0 or row.max() > config.rest_id):
             raise UnknownToken(
-                f"sequence {i}: raw token ids must lie in [0, {config.rest_id}], got "
+                f"{name}: raw token ids must lie in [0, {config.rest_id}], got "
                 f"[{row.min()}, {row.max()}]")
+        if not row.size or row.min() >= config.output_classes:
+            raise NoEligiblePositions(f"{name} has no pitch tokens to mask")
+        if len(row) > config.max_position:
+            raise SequenceTooLong(f"{name}: length {len(row)} exceeds max_position "
+                                  f"{config.max_position}")
+        rows.append(row)
     return rows
 
 
@@ -327,8 +337,8 @@ def make_mlm_batch(sequences, config: ModelConfig, rng: np.random.Generator,
     """Mask ceil(rate * eligible) positions per sequence, uniformly.
 
     Eligible means a pitch token: REST and PAD are never masked and never
-    become targets. A row holding an id outside the pitches and REST
-    raises UnknownToken. strategy "mask" replaces every chosen position with
+    become targets. A row that is not trainable raises as _token_rows
+    says. strategy "mask" replaces every chosen position with
     MASK; "bert" uses the 80/10/10 mask/random/keep split.
     """
     if not 0.0 < rate < 1.0:
@@ -343,8 +353,6 @@ def make_mlm_batch(sequences, config: ModelConfig, rng: np.random.Generator,
     mask_positions = np.zeros_like(inputs, dtype=bool)
     for i, row in enumerate(rows):
         eligible = np.nonzero(row < config.output_classes)[0]
-        if eligible.size == 0:
-            raise NoEligiblePositions(f"sequence {i} has no pitch tokens to mask")
         n_mask = max(1, math.ceil(rate * eligible.size))
         picked = rng.choice(eligible, size=n_mask, replace=False)
         targets[i, picked] = inputs[i, picked]
@@ -533,8 +541,8 @@ def train(corpus, config: ModelConfig, hyper: TrainHyper,
 
     The corpus is held once: each row is its sequence's own token array
     (a PitchSequence's int16 tokens), and only a padded batch is int64.
-    Every row's ids (UnknownToken) and length (SequenceTooLong) are
-    checked before the first step, and the error names the row.
+    Every row is checked by _token_rows before the first step, and the
+    error names the row.
 
     Per-epoch metrics (raw_loss, flooded_loss, masked_accuracy, all
     averaged over masked positions) go to metadata["history"] and to the
@@ -545,10 +553,6 @@ def train(corpus, config: ModelConfig, hyper: TrainHyper,
     rows = _token_rows(corpus, config)
     if not rows:
         raise nn.EmptyBatch("empty training corpus")
-    for i, row in enumerate(rows):
-        if len(row) > config.max_position:
-            raise SequenceTooLong(f"sequence {i}: length {len(row)} exceeds max_position "
-                                  f"{config.max_position}")
     optimizer = nn.AdamW(params.tensors, learning_rate=hyper.learning_rate,
                          weight_decay=hyper.weight_decay)
     rng = np.random.default_rng([hyper.seed, 0x5eed])

@@ -32,6 +32,7 @@ nothing is set.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import ctypes
 import os
@@ -142,51 +143,39 @@ def find_mallopt():
 class Section:
     """Context manager inside which map() may run items on two threads.
 
-    The first map of two or more items looks up OpenBLAS and pins it to one
-    thread, and the first overlapping map starts the worker thread that
-    later maps reuse (a new thread per map gets new malloc arenas and
-    OpenBLAS buffers). Entering sets glibc's heap pad to SECTION_TOP_PAD
-    and its mmap and trim thresholds, the last two for good. Leaving the
-    section joins the worker, restores the BLAS thread count and sets the
-    pad back to glibc's default, also on an exception.
+    Each setting goes onto one undo stack as it is made: the heap pad on
+    entry, the BLAS pin at the first map of two or more items, and the
+    worker thread at the first overlapping map (later maps reuse it: a new
+    thread per map gets new malloc arenas and OpenBLAS buffers). Leaving,
+    also on an exception, closes the stack: it joins the worker, restores
+    the BLAS thread count and sets glibc's default pad back. A Section may
+    be entered again once it has been left.
     """
 
-    def __init__(self):
-        self._blas: OpenBLAS | None = None
-        self._saved_threads: int | None = None
-        self._looked_up = False
-        self._pool: futures.ThreadPoolExecutor | None = None
-        self._mallopt = None
-
     def __enter__(self) -> "Section":
-        self._mallopt = find_mallopt()
-        if self._mallopt is not None:
-            self._mallopt(_M_TOP_PAD, SECTION_TOP_PAD)
-            self._mallopt(_M_MMAP_THRESHOLD, SECTION_MMAP_THRESHOLD)
-            self._mallopt(_M_TRIM_THRESHOLD, SECTION_TRIM_THRESHOLD)
+        self._undo = contextlib.ExitStack()
+        self._pinned: bool | None = None     # None until OpenBLAS is looked up
+        self._pool: futures.ThreadPoolExecutor | None = None
+        mallopt = find_mallopt()
+        if mallopt is not None:
+            mallopt(_M_TOP_PAD, SECTION_TOP_PAD)
+            self._undo.callback(mallopt, _M_TOP_PAD, _DEFAULT_TOP_PAD)
+            mallopt(_M_MMAP_THRESHOLD, SECTION_MMAP_THRESHOLD)
+            mallopt(_M_TRIM_THRESHOLD, SECTION_TRIM_THRESHOLD)
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-        if self._saved_threads is not None:
-            self._blas.set_threads(self._saved_threads)
-            self._saved_threads = None
-        self._looked_up = False
-        if self._mallopt is not None:
-            self._mallopt(_M_TOP_PAD, _DEFAULT_TOP_PAD)
-            self._mallopt = None
+        self._undo.close()
 
     def _pin_blas(self) -> bool:
         """True once OpenBLAS runs on one thread inside this section."""
-        if not self._looked_up:
-            self._looked_up = True
-            self._blas = find_openblas()
-            if self._blas is not None:
-                self._saved_threads = self._blas.get_threads()
-                self._blas.set_threads(1)
-        return self._blas is not None
+        if self._pinned is None:
+            blas = find_openblas()
+            self._pinned = blas is not None
+            if blas is not None:
+                self._undo.callback(blas.set_threads, blas.get_threads())
+                blas.set_threads(1)
+        return self._pinned
 
     def map(self, fn, items) -> list:
         """[fn(item) for item in items], in item order.
@@ -208,19 +197,22 @@ class Section:
         if len(items) < 2 or not (self._pin_blas() and lanes > 1 and untraced()):
             return [fn(item) for item in items]
         if self._pool is None:
-            self._pool = futures.ThreadPoolExecutor(MAX_WORKERS - 1)
+            self._pool = self._undo.enter_context(futures.ThreadPoolExecutor(MAX_WORKERS - 1))
+        results = [None] * len(items)
 
-        def lane(w: int) -> list:
-            return [fn(item) for item in items[w::lanes]]
+        def lane(w: int) -> None:
+            for i in range(w, len(items), lanes):
+                results[i] = fn(items[i])
 
         pending = [self._pool.submit(contextvars.copy_context().run, lane, w)
                    for w in range(1, lanes)]
         try:
-            done = [lane(0)]
+            lane(0)
         finally:
             futures.wait(pending)
-        done += [f.result() for f in pending]
-        return [done[i % lanes][i // lanes] for i in range(len(items))]
+        for f in pending:
+            f.result()
+        return results
 
 
 def process_map(fn, items: list) -> list:

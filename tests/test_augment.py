@@ -234,6 +234,10 @@ def test_policy_validation():
         AugmentPolicy(truncated_per_seq=40, transpositions_per_seq=31)
     with pytest.raises(ValueError):
         AugmentPolicy(truncation_min=5, truncation_max=4)
+    for name, value in [("truncation_max", 3.7), ("seed", 1.5), ("truncated_per_seq", True),
+                        ("transpositions_per_seq", "31"), ("truncation_min", None)]:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            AugmentPolicy(**{name: value})
 
 
 def test_expand_corpus_tags_failing_sequence():

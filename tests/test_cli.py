@@ -207,6 +207,27 @@ def test_preprocess_deterministic(tmp_path):
         assert f.read_bytes() == (out_b / f.name).read_bytes()
 
 
+def test_preprocess_counts_a_file_name_that_is_not_utf8(tmp_path, capsys):
+    midi_dir = tmp_path / "midi"
+    write_midi_corpus(midi_dir, count=2)
+    assert main(["preprocess", "--in", str(midi_dir), "--out", str(tmp_path / "alone")]) == 0
+    try:
+        with open(os.path.join(os.fsencode(midi_dir), b"caf\xe9.mid"), "wb") as f:
+            f.write((midi_dir / "clip000.mid").read_bytes())
+    except OSError:
+        pytest.skip("this filesystem refuses a file name that is not UTF-8")
+    out_dir = tmp_path / "tok"
+    capsys.readouterr()
+    assert main(["preprocess", "--in", str(midi_dir), "--out", str(out_dir)]) == 0
+    assert capsys.readouterr().out.startswith("inputs=3\nwritten=2\nerrors=1\n")
+    summary = (out_dir / "preprocess_summary.txt").read_text(encoding="utf-8").splitlines()
+    assert summary[-1] == r"error file=caf\xe9.mid message=NonUtf8Name: the file name is not UTF-8"
+    assert sorted(os.listdir(out_dir)) == ["clip000.tokens", "clip001.tokens",
+                                           "preprocess_summary.txt"]
+    for name in ("clip000.tokens", "clip001.tokens"):
+        assert (out_dir / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
+
 # ---------------------------------------------------------------- augment
 
 def test_augment_identity_policy_copies_corpus(tmp_path):
@@ -422,7 +443,7 @@ def test_a_process_makes_its_private_folder_once_per_command(tmp_path, monkeypat
                  ["augment", "--in", str(tmp_path / "tok"), "--out", str(tmp_path / "aug")]):
         assert main([*argv, "--seed", "0"]) == 0
     assert made == [str(os.getpid())] * 2
-    assert cli._made_dirs == set()
+    assert list(tmp_path.glob("*/.psae-*")) == []
 
 
 # sha256 over the names and bytes of preprocess's outputs below, taken from
@@ -496,6 +517,28 @@ def test_train_requires_epochs(tmp_path, capsys):
     main(["preprocess", "--in", str(midi_dir), "--out", str(tok)])
     assert main(["train", "--corpus", str(tok), "--out", str(tmp_path / "m")]) == 1
     assert "epochs" in capsys.readouterr().err
+
+
+def test_train_rejects_a_row_with_no_pitch_before_the_first_epoch(tmp_path, capsys,
+                                                                 monkeypatch):
+    corpus = tmp_path / "tok"
+    corpus.mkdir()
+    rows = [f"p{i:03d}\t16th\t{60 + i % 12} 62 {REST_ID} 64" for i in range(100)]
+    rows.append(f"r0\t16th\t{REST_ID} {REST_ID} {REST_ID} {REST_ID}")
+    (corpus / "melodies.tokens").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": SMALL_MODEL}), encoding="utf-8")
+    batches = []
+    make = model.make_mlm_batch
+    monkeypatch.setattr(model, "make_mlm_batch",
+                        lambda *args, **kwargs: batches.append(1) or make(*args, **kwargs))
+    assert main(["train", "--corpus", str(corpus), "--config", str(config),
+                 "--out", str(tmp_path / "model.psae"), "--epochs", "2",
+                 "--batch-size", "8"]) == 1
+    out, err = capsys.readouterr()
+    assert "epoch=" not in out and batches == []
+    assert err == "error: sequence 100 (r0) has no pitch tokens to mask\n"
+    assert not (tmp_path / "model.psae").exists()
 
 
 def test_train_deterministic_checkpoints(tmp_path):

@@ -168,6 +168,34 @@ def test_section_pads_the_heap_and_restores_glibcs_default_also_on_error(monkeyp
     assert calls == [pad, *thresholds, default]
 
 
+def test_a_section_entered_twice_makes_and_undoes_its_settings_each_time(monkeypatch):
+    calls = []
+    monkeypatch.setattr(parallel, "find_mallopt",
+                        lambda: lambda param, value: calls.append((param, value)))
+    settings = [(parallel._M_TOP_PAD, parallel.SECTION_TOP_PAD),
+                (parallel._M_MMAP_THRESHOLD, parallel.SECTION_MMAP_THRESHOLD),
+                (parallel._M_TRIM_THRESHOLD, parallel.SECTION_TRIM_THRESHOLD)]
+    default = (parallel._M_TOP_PAD, 128 << 10)
+    blas = parallel.find_openblas()
+    before = blas and blas.get_threads()
+    section = parallel.Section()
+    workers = []
+    for _ in range(2):
+        calls.clear()
+        with section:
+            got = section.map(lambda i: (threading.current_thread(), blas and blas.get_threads()),
+                              range(2))
+            assert calls == settings
+        assert calls == [*settings, default]
+        assert [threads for _, threads in got] == [blas and 1] * 2
+        assert (blas and blas.get_threads()) == before
+        worker = got[1][0]
+        assert worker is threading.current_thread() or not worker.is_alive()
+        workers.append(worker)
+    # each use starts its own worker thread where items overlap
+    assert (workers[0] is not workers[1]) == concurrent_here()
+
+
 FAULT_ROUNDS = """
 import resource
 import numpy as np
