@@ -1,13 +1,14 @@
 """Command-line pipeline: preprocess, augment, train, score, eval.
 
+build_parser binds each subcommand to its cmd_* function, which reads its
+flags from the parsed namespace; main calls it and reports a fatal error.
 Every command is deterministic under a fixed --seed and writes outputs to
 temporary names before an atomic rename. preprocess and augment keep those
-names in a private folder per process, under a hidden ``.psae-*`` folder of
-the output directory that the command removes: two processes creating files
-in one folder serialise on it. Per-file problems are soft: they are
-reported and counted, the command still exits 0; fatal errors exit 1.
-Config precedence for training is command-line flag > config file >
-built-in default.
+names in a private folder per process (see _map_files): two processes
+creating files in one folder serialise on it. Per-file problems are soft:
+they are reported and counted, the command still exits 0; fatal errors
+exit 1. Config precedence for training is command-line flag > config
+file > built-in default.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from pathlib import Path
 from . import parallel
 from .augment import AugmentPolicy, expand_sequence_detailed
 from .checkpoint import load_checkpoint, save_checkpoint_bytes
-from .corpus import TOKENS_SUFFIX, format_corpus, read_corpus_dir, read_corpus_file
+from .corpus import (SOURCE_ID_BREAKS, TOKENS_SUFFIX, format_corpus, read_corpus_dir,
+                     read_corpus_file)
 from .errors import PsaeError
 from .model import ModelConfig, TrainHyper, train
 from .pipeline import sequence_from_midi_bytes, sequence_from_midi_path
@@ -33,6 +35,7 @@ from .quantize import GridUnit
 from .scoring import EvalReport, evaluate_manifest, excerpt_score, note_probabilities
 
 MIDI_SUFFIXES = (".mid", ".midi")
+_ESCAPED = {ord(c): f"\\x{ord(c):02x}" for c in SOURCE_ID_BREAKS}
 
 
 class NoInputs(PsaeError):
@@ -68,10 +71,14 @@ def _private_dir(tmp_root: str) -> Path:
     return folder
 
 
-def _tmp_root(out_dir: Path) -> tempfile.TemporaryDirectory:
-    """A hidden folder under out_dir for the processes' private folders: a
-    with-block yields its path and removes it with everything in it."""
-    return tempfile.TemporaryDirectory(dir=out_dir, prefix=".psae-")
+def _map_files(work, files: list[Path], out_dir: Path, **fixed) -> list:
+    """[work(path, out_dir, tmp_root, **fixed) for path in files] on
+    parallel.process_map. tmp_root, a hidden ``.psae-*`` folder of out_dir
+    for the processes' private folders, is removed when the map ends."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=out_dir, prefix=".psae-") as tmp_root:
+        return parallel.process_map(
+            functools.partial(work, out_dir=out_dir, tmp_root=tmp_root, **fixed), files)
 
 
 # ---------------------------------------------------------------- config
@@ -115,43 +122,43 @@ def load_run_config(path: str | Path | None) -> dict:
 # ------------------------------------------------------------- commands
 
 def _shown(name: str) -> str:
-    """A file name as the summaries write it: bytes that are not UTF-8 as \\xNN."""
-    return os.fsencode(name).decode("utf-8", "backslashreplace")
+    """A file name as the summaries write it, on one line: bytes that are
+    not UTF-8, and the characters a source id may not hold, as \\xNN."""
+    return os.fsencode(name).decode("utf-8", "backslashreplace").translate(_ESCAPED)
 
 
 def _preprocess_file(path: Path, out_dir: Path, tmp_root: str, seed: int):
-    """One input of cmd_preprocess: (grid, None) once its tokens are
-    written, or (None, message) for a soft error."""
+    """One input of cmd_preprocess: (grid, None) once its tokens are written,
+    or (None, message) for a soft error, such as a stem no source id may be."""
     try:
         seq = sequence_from_midi_bytes(path.read_bytes(), source_id=path.stem, seed=seed)
+        text = format_corpus([seq])
     except PsaeError as exc:
         return None, f"{type(exc).__name__}: {exc}"
-    _atomic_write(out_dir / f"{path.stem}{TOKENS_SUFFIX}", format_corpus([seq]),
-                  _private_dir(tmp_root))
+    _atomic_write(out_dir / f"{path.stem}{TOKENS_SUFFIX}", text, _private_dir(tmp_root))
     return seq.grid, None
 
 
-def cmd_preprocess(input_dir: str, output_dir: str, seed: int = 0) -> int:
-    in_dir = Path(input_dir)
+def cmd_preprocess(args: argparse.Namespace) -> int:
+    """psae preprocess: a <stem>.tokens per MIDI file, and preprocess_summary.txt."""
+    in_dir = Path(args.input_dir)
     files = sorted(p for p in in_dir.iterdir()
                    if p.suffix.lower() in MIDI_SUFFIXES and p.is_file()) if in_dir.is_dir() else []
     if not files:
-        raise NoInputs(f"no MIDI files in {input_dir}")
-    out_dir = Path(output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+        raise NoInputs(f"no MIDI files in {args.input_dir}")
+    out_dir = Path(args.output_dir)
     # Soft errors the names decide: a stem that is not UTF-8 cannot seed draws
     # or name a row, and a stem an earlier file writes is taken.
     decided: dict[Path, str] = {}
     first_of: dict[str, Path] = {}
     for path in files:
-        if _shown(path.name) != path.name:
+        if _shown(path.name) != path.name.translate(_ESCAPED):
             decided[path] = "NonUtf8Name: the file name is not UTF-8"
         elif first_of.setdefault(path.stem, path) is not path:
             decided[path] = (f"DuplicateStem: {first_of[path.stem].name} already writes "
                              f"{path.stem}{TOKENS_SUFFIX}")
-    with _tmp_root(out_dir) as tmp:
-        work = functools.partial(_preprocess_file, out_dir=out_dir, tmp_root=tmp, seed=seed)
-        done = iter(parallel.process_map(work, [p for p in files if p not in decided]))
+    done = iter(_map_files(_preprocess_file, [p for p in files if p not in decided],
+                           out_dir, seed=args.seed))
     grid_histogram = {g: 0 for g in GridUnit}
     errors: list[str] = []
     for path in files:
@@ -185,45 +192,38 @@ def _augment_file(path: Path, out_dir: Path, tmp_root: str, policy: AugmentPolic
     return manifest
 
 
-def cmd_augment(input_dir: str, output_dir: str, policy: AugmentPolicy) -> int:
-    in_dir = Path(input_dir)
-    files = [p for p in sorted(in_dir.glob(f"*{TOKENS_SUFFIX}")) if p.is_file()]
+def cmd_augment(args: argparse.Namespace) -> int:
+    """psae augment: the variants of each corpus file, and augment_manifest.tsv."""
+    policy = AugmentPolicy(transpositions_per_seq=args.transpositions,
+                           truncated_per_seq=args.truncated, truncation_min=args.trunc_min,
+                           truncation_max=args.trunc_max, seed=args.seed)
+    files = [p for p in sorted(Path(args.input_dir).glob(f"*{TOKENS_SUFFIX}")) if p.is_file()]
     if not files:
-        raise NoInputs(f"no {TOKENS_SUFFIX} files in {input_dir}")
-    out_dir = Path(output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with _tmp_root(out_dir) as tmp:
-        work = functools.partial(_augment_file, out_dir=out_dir, tmp_root=tmp, policy=policy)
-        blocks = parallel.process_map(work, files)
+        raise NoInputs(f"no {TOKENS_SUFFIX} files in {args.input_dir}")
+    out_dir = Path(args.output_dir)
     manifest = ["variant_id\tsource_id\tshift\ttruncation"]
-    for block in blocks:
+    for block in _map_files(_augment_file, files, out_dir, policy=policy):
         manifest += block
     _atomic_write(out_dir / "augment_manifest.tsv", "\n".join(manifest) + "\n")
     print(f"inputs={len(files)} variants={len(manifest) - 1}")
     return 0
 
 
-def cmd_train(corpus_dir: str, out_path: str, config_path: str | None = None,
-              epochs: int | None = None, seed: int | None = None,
-              batch_size: int | None = None, learning_rate: float | None = None,
-              flood_b: float | None = None) -> int:
-    run = load_run_config(config_path)
-    flags = {"epochs": epochs, "batch_size": batch_size,
-             "learning_rate": learning_rate, "flood_b": flood_b}
-    for key, value in flags.items():
-        if value is not None:
+def cmd_train(args: argparse.Namespace) -> int:
+    """psae train: a checkpoint and its .metrics and .timing logs. A flag
+    whose dest names a TrainHyper field overrides the config file's."""
+    run = load_run_config(args.config)
+    for key, value in vars(args).items():
+        if key in run["train"] and value is not None:
             run["train"][key] = value
-    if seed is not None:
-        run["seed"] = seed
-    if run["seed"] is None:
-        run["seed"] = 0
     if run["train"]["epochs"] is None:
         raise ConfigError("epochs must be set via --epochs or the config file")
     config = ModelConfig(**run["model"])
     config.validate()
-    hyper = TrainHyper(seed=run["seed"], **run["train"])
+    seed = next(s for s in (args.seed, run["seed"], 0) if s is not None)
+    hyper = TrainHyper(seed=seed, **run["train"])
     hyper.validate()
-    sequences = read_corpus_dir(corpus_dir)
+    sequences = read_corpus_dir(args.corpus)
     tokens = sum(len(s.tokens) for s in sequences)   # corpus rows hold no PAD
     metrics_lines: list[str] = []
     timing_lines: list[str] = []
@@ -246,7 +246,7 @@ def cmd_train(corpus_dir: str, out_path: str, config_path: str | None = None,
         print(line)
 
     checkpoint = train(sequences, config, hyper, on_epoch=on_epoch)
-    out = Path(out_path)
+    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write(out, save_checkpoint_bytes(checkpoint))
     _atomic_write(out.with_name(out.name + ".metrics"), "\n".join(metrics_lines) + "\n")
@@ -256,16 +256,16 @@ def cmd_train(corpus_dir: str, out_path: str, config_path: str | None = None,
     return 0
 
 
-def cmd_score(model_path: str, midi_path: str, per_note: bool = False,
-              seed: int = 0) -> int:
-    checkpoint = load_checkpoint(model_path)
-    seq = sequence_from_midi_path(midi_path, seed=seed)
+def cmd_score(args: argparse.Namespace) -> int:
+    """psae score: the clip's scores, and with --per-note each note's."""
+    checkpoint = load_checkpoint(args.model)
+    seq = sequence_from_midi_path(args.midi, seed=args.seed)
     probs = note_probabilities(checkpoint, seq)
     score = excerpt_score(seq, probs)
-    print(f"path={midi_path} notes={score.n_notes} "
+    print(f"path={args.midi} notes={score.n_notes} "
           f"ai_probability={score.ai_probability:.6f} "
           f"human_probability={score.human_probability:.6f}")
-    if per_note:
+    if args.per_note:
         for pos, p in zip(probs.positions, probs.probabilities):
             print(f"note position={int(pos)} probability={p:.6f}")
     return 0
@@ -336,15 +336,15 @@ def render_report_text(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_eval(model_path: str, manifest_path: str, output_dir: str,
-             seed: int = 0) -> int:
-    checkpoint = load_checkpoint(model_path)
+def cmd_eval(args: argparse.Namespace) -> int:
+    """psae eval: report.txt (also printed), report.kv and eval.timing."""
+    checkpoint = load_checkpoint(args.model)
     start, cpu_start = time.perf_counter(), time.process_time()
-    report = evaluate_manifest(checkpoint, manifest_path,
-                               scorer=lambda p: sequence_from_midi_path(p, seed=seed))
+    report = evaluate_manifest(checkpoint, args.manifest,
+                               scorer=lambda p: sequence_from_midi_path(p, seed=args.seed))
     seconds = time.perf_counter() - start
     cpu_seconds = time.process_time() - cpu_start
-    out_dir = Path(output_dir)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     text = render_report_text(report)
     _atomic_write(out_dir / "report.txt", text)
@@ -371,11 +371,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("preprocess", help="MIDI directory -> token corpus")
+    p.set_defaults(run=cmd_preprocess)
     p.add_argument("--in", dest="input_dir", required=True)
     p.add_argument("--out", dest="output_dir", required=True)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("augment", help="expand a token corpus")
+    p.set_defaults(run=cmd_augment)
     p.add_argument("--in", dest="input_dir", required=True)
     p.add_argument("--out", dest="output_dir", required=True)
     p.add_argument("--transpositions", type=int, default=AugmentPolicy.transpositions_per_seq)
@@ -385,6 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
 
     p = sub.add_parser("train", help="train the masked pitch model")
+    p.set_defaults(run=cmd_train)
     p.add_argument("--corpus", required=True)
     p.add_argument("--config")
     p.add_argument("--out", required=True)
@@ -395,12 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flood-b", type=float)
 
     p = sub.add_parser("score", help="score one MIDI file")
+    p.set_defaults(run=cmd_score)
     p.add_argument("--model", required=True)
     p.add_argument("--midi", required=True)
     p.add_argument("--per-note", action="store_true")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("eval", help="score a labeled manifest and report AUCs")
+    p.set_defaults(run=cmd_eval)
     p.add_argument("--model", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
@@ -409,32 +414,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # built per call, so that it binds cmd_* as named now: a tracer may wrap them
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "preprocess":
-            return cmd_preprocess(args.input_dir, args.output_dir, seed=args.seed)
-        if args.command == "augment":
-            policy = AugmentPolicy(transpositions_per_seq=args.transpositions,
-                                   truncated_per_seq=args.truncated,
-                                   truncation_min=args.trunc_min,
-                                   truncation_max=args.trunc_max,
-                                   seed=args.seed)
-            return cmd_augment(args.input_dir, args.output_dir, policy)
-        if args.command == "train":
-            return cmd_train(args.corpus, args.out, config_path=args.config,
-                             epochs=args.epochs, seed=args.seed,
-                             batch_size=args.batch_size,
-                             learning_rate=args.learning_rate,
-                             flood_b=args.flood_b)
-        if args.command == "score":
-            return cmd_score(args.model, args.midi, per_note=args.per_note,
-                             seed=args.seed)
-        if args.command == "eval":
-            return cmd_eval(args.model, args.manifest, args.out, seed=args.seed)
+        return args.run(args)
     except (PsaeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 def entry() -> None:

@@ -1,5 +1,6 @@
 """Token corpus files: one line per sequence,
-``source_id<TAB>grid<TAB>space-separated token ids``.
+``source_id<TAB>grid<TAB>space-separated token ids``, each line ending in
+LF. A source id holds no tab, LF or CR (a text-mode reader ends lines at CR).
 
 A corpus directory is any directory of ``*.tokens`` files; readers walk it
 in sorted filename order so downstream runs are reproducible. The format
@@ -17,6 +18,7 @@ from .errors import PsaeError
 from .quantize import REST_ID, GridUnit, PitchSequence
 
 TOKENS_SUFFIX = ".tokens"
+SOURCE_ID_BREAKS = "\t\n\r"
 
 
 class CorpusFormatError(PsaeError):
@@ -32,6 +34,7 @@ _TOKEN_WORDS = np.frombuffer(b"".join(f"{i}{sep}".encode().ljust(4, b"\0")
 # Token ids as format_corpus spells them: ASCII digits between whitespace.
 # int() alone would also read "1_2", "+60" or other scripts' digits.
 _DECIMAL_IDS = re.compile(r"[0-9\s]*", re.ASCII)
+_ID_BREAK = re.compile(f"[{SOURCE_ID_BREAKS}]")
 
 
 def format_sequence(seq: PitchSequence) -> str:
@@ -58,11 +61,15 @@ def parse_sequence_line(line: str) -> PitchSequence:
 
 def format_corpus(sequences) -> str:
     """Corpus file text: one formatted line per sequence, each ending in a
-    newline. An id outside 0..REST_ID raises CorpusFormatError naming the
-    first sequence that holds one."""
+    newline. A source id holding a tab, LF or CR, or a token id outside
+    0..REST_ID, raises CorpusFormatError naming the first sequence that
+    holds one."""
     sequences = list(sequences)
     if not sequences:
         return ""
+    bad = [s.source_id for s in sequences if _ID_BREAK.search(s.source_id)]
+    if bad:
+        raise CorpusFormatError(f"{bad[0]!r}: source id holds a tab, LF or CR")
     tokens = np.concatenate([s.tokens for s in sequences])
     ends = np.cumsum([len(s.tokens) for s in sequences])
     # explicit: the gather would read -1 as the table's last word
@@ -83,12 +90,13 @@ def write_corpus_file(path: str | Path, sequences: list[PitchSequence]) -> None:
 
 
 def read_corpus_file(path: str | Path) -> list[PitchSequence]:
+    """A corpus file's sequences; as format_corpus writes it, only LF ends a line."""
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        text = Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise CorpusFormatError(f"{path}: not UTF-8 text: {exc.reason}")
     out = []
-    for n, line in enumerate(text.splitlines(), start=1):
+    for n, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

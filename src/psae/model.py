@@ -9,7 +9,7 @@ softmax cross-entropy, and runs the result through the flooding transform
 the real (non-PAD) positions, packed as rows; only the masked positions
 reach the loss, so training runs the last layer's queries and the head at
 those positions alone. _packed_block is the one encoder layer: forward,
-training and the scorer's later layers all run it.
+training and the scorer run it at every depth.
 """
 
 from __future__ import annotations
@@ -193,11 +193,6 @@ def _attention_norm(t: dict[str, nn.Tensor], x: nn.Tensor) -> nn.Tensor:
     return nn.layer_norm(x, t["norm_attn_gain"], t["norm_attn_bias"])
 
 
-def _attention_residual(t: dict[str, nn.Tensor], x: nn.Tensor, attn: nn.Tensor) -> nn.Tensor:
-    """x + out-projection of the merged-head attention output."""
-    return nn.add(x, _project(t, attn, "out"))
-
-
 def _ffn_sublayer(t: dict[str, nn.Tensor], x: nn.Tensor) -> nn.Tensor:
     """Pre-norm position-wise feed-forward plus residual."""
     h = nn.layer_norm(x, t["norm_ffn_gain"], t["norm_ffn_bias"])
@@ -209,20 +204,24 @@ def _ffn_sublayer(t: dict[str, nn.Tensor], x: nn.Tensor) -> nn.Tensor:
 
 
 def _packed_block(config: ModelConfig, t: dict[str, nn.Tensor], x: nn.Tensor,
-                  pad_mask: np.ndarray, query_rows: np.ndarray | None = None) -> nn.Tensor:
+                  pad_mask: np.ndarray, query_rows: np.ndarray | None = None,
+                  attn: nn.Tensor | None = None) -> nn.Tensor:
     """One layer over x [n, d], the real rows of a [batch, length] grid
     (pad_mask True at PAD) in row-major order.
 
     With query_rows ([batch, q] indices into x) only those rows query: keys
     and values still cover every row, and the output is [batch, q, d].
+    attn, when given, is the layer's merged-head attention output for x's
+    rows, computed by the caller (the scorer's first layer).
     """
-    h = _attention_norm(t, x)
-    if query_rows is not None:
-        x = nn.embedding_lookup(x, query_rows)
-    q = _project(t, h if query_rows is None else nn.embedding_lookup(h, query_rows), "q")
-    attn = nn.packed_attention(q, _project(t, h, "k"), _project(t, h, "v"), pad_mask,
-                               config.num_heads)
-    return _ffn_sublayer(t, _attention_residual(t, x, attn))
+    if attn is None:
+        h = _attention_norm(t, x)
+        if query_rows is not None:
+            x = nn.embedding_lookup(x, query_rows)
+        q = _project(t, h if query_rows is None else nn.embedding_lookup(h, query_rows), "q")
+        attn = nn.packed_attention(q, _project(t, h, "k"), _project(t, h, "v"), pad_mask,
+                                   config.num_heads)
+    return _ffn_sublayer(t, nn.add(x, _project(t, attn, "out")))
 
 
 def _head(t: dict[str, nn.Tensor], x: nn.Tensor) -> nn.Tensor:
@@ -308,26 +307,32 @@ def pad_batch(token_rows: list[np.ndarray], pad_id: int) -> tuple[np.ndarray, np
     return out, out == pad_id
 
 
+def check_raw_row(config: ModelConfig, row: np.ndarray, name: str) -> None:
+    """Reject a raw row (a corpus row, a clip to score) that config cannot
+    take: ids other than pitches and REST, whose MASK and PAD the model's
+    callers place, or more than max_position ids. The error names name."""
+    if row.size and (row.min() < 0 or row.max() > config.rest_id):
+        raise UnknownToken(
+            f"{name}: raw token ids must lie in [0, {config.rest_id}], got "
+            f"[{row.min()}, {row.max()}]")
+    if len(row) > config.max_position:
+        raise SequenceTooLong(f"{name}: length {len(row)} exceeds max_position "
+                              f"{config.max_position}")
+
+
 def _token_rows(sequences, config: ModelConfig) -> list[np.ndarray]:
     """Raw token rows, each its sequence's own integer array: a
     PitchSequence's int16 tokens are used as they are, not copied; pad_batch
-    writes the int64 batch. A trainable row holds pitches and REST only
-    (MASK and PAD are the batcher's to place), at least one pitch and at
-    most max_position tokens. Any other row raises, naming its index and
-    source id."""
+    writes the int64 batch. A trainable row passes check_raw_row and holds
+    at least one pitch. Any other row raises, naming its index and source
+    id."""
     rows = []
     for i, s in enumerate(sequences):
         row = np.asarray(getattr(s, "tokens", s))
         name = f"sequence {i}" + (f" ({s.source_id})" if getattr(s, "source_id", "") else "")
-        if row.size and (row.min() < 0 or row.max() > config.rest_id):
-            raise UnknownToken(
-                f"{name}: raw token ids must lie in [0, {config.rest_id}], got "
-                f"[{row.min()}, {row.max()}]")
+        check_raw_row(config, row, name)
         if not row.size or row.min() >= config.output_classes:
             raise NoEligiblePositions(f"{name} has no pitch tokens to mask")
-        if len(row) > config.max_position:
-            raise SequenceTooLong(f"{name}: length {len(row)} exceeds max_position "
-                                  f"{config.max_position}")
         rows.append(row)
     return rows
 

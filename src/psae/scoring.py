@@ -17,9 +17,8 @@ import numpy as np
 
 from . import nn, parallel
 from .errors import PsaeError
-from .model import (Checkpoint, ModelConfig, ModelParams, _attention_norm,
-                    _attention_residual, _embed, _ffn_sublayer, _head, _packed_block,
-                    _project, check_tokens)
+from .model import (Checkpoint, ModelConfig, ModelParams, _attention_norm, _embed, _head,
+                    _packed_block, _project, check_raw_row)
 from .model import forward  # noqa: F401  (perfbench/layers.py traces scoring.forward)
 from .quantize import PitchSequence
 
@@ -216,25 +215,27 @@ def note_probabilities(model: Checkpoint | ModelParams, seq: PitchSequence,
     whole_notes masks every step of a sustained note together and averages
     within the note, scoring musical notes instead of grid steps.
 
-    The unmasked clip's first layer is computed once and corrected per
-    variant (see _FirstLayer). Every later layer is model._packed_block,
-    the layer forward runs, over the chunk's variants packed as
-    [variants * L, d] rows with no PAD; the last one queries only the
-    masked positions. Variants run in chunks sized by _chunk_size, in one
-    parallel.Section map per clip, which deals them to its threads: each
-    chunk writes its own slice of the result, so the bits do not depend on
-    the CPU count, and a clip that fits one chunk runs on the caller alone.
+    Every layer is model._packed_block, the layer forward runs, over the
+    chunk's variants packed as [variants * L, d] rows with no PAD; the last
+    one queries only the masked positions. The first layer's attention is
+    computed once for the unmasked clip and corrected per variant (see
+    _FirstLayer), and the block takes it as given. A clip's tokens must
+    pass model.check_raw_row, as a training row's must. Variants run in
+    chunks sized by _chunk_size, in one parallel.Section map per clip,
+    which deals them to its threads: each chunk writes its own slice of
+    the result, so the bits do not depend on the CPU count, and a clip
+    that fits one chunk runs on the caller alone.
     Scoring reads the parameters' data only: it records no graph and
     leaves every .grad and requires_grad flag as it was.
     """
     params = _params_of(model)
     config = params.config
     tokens = np.asarray(seq.tokens, dtype=np.int64)
-    check_tokens(config, tokens[None])
+    clip_id = seq.source_id or "sequence"
+    check_raw_row(config, tokens, clip_id)
     groups = _scoreable_positions(tokens, config.output_classes, whole_notes)
     if len(groups) < 2:
-        raise NoScoreablePositions(
-            f"{seq.source_id or 'sequence'} has {len(groups)} scoreable positions; need >= 2")
+        raise NoScoreablePositions(f"{clip_id} has {len(groups)} scoreable positions; need >= 2")
     t = {name: nn.Tensor(p.data) for name, p in params.tensors.items()}
     x_base = _embed(t, tokens[None])
     x_masked = _embed(t, np.full((1, len(tokens)), config.mask_id))
@@ -252,14 +253,12 @@ def note_probabilities(model: Checkpoint | ModelParams, seq: PitchSequence,
         x[rows, idx] = x_masked.data[0, idx]
         x = nn.Tensor(x.reshape(-1, config.hidden_dim))
         no_pad = np.zeros((len(part), len(tokens)), dtype=bool)
-        layers = range(config.num_layers)
-        if first is not None:
-            attn = nn.Tensor(first.attention(idx, valid).astype(x.dtype))
-            x = _ffn_sublayer(t, _attention_residual(t, x, attn))
-            layers = layers[1:]
-        for layer in layers:
+        for layer in range(config.num_layers):
             last = layer == config.num_layers - 1
-            x = _packed_block(config, t, x, no_pad, rows * len(tokens) + idx if last else None)
+            attn = (nn.Tensor(first.attention(idx, valid).astype(x.dtype))
+                    if layer == 0 and first is not None else None)
+            x = _packed_block(config, t, x, no_pad, rows * len(tokens) + idx if last else None,
+                              attn)
         p = _softmax_rows(_head(t, x).data)
         p_true = np.take_along_axis(p, tokens[idx][..., None], axis=-1)[..., 0]
         probs[start:start + len(part)] = (p_true * valid).sum(axis=1) / valid.sum(axis=1)

@@ -1,10 +1,15 @@
 """Shared test utilities: finite-difference gradients, fixture MIDI
-construction, and synthetic melody generators."""
+construction, synthetic melody generators, and reruns of named tests in
+another environment."""
 
 from __future__ import annotations
 
+import os
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 
@@ -17,6 +22,17 @@ REL_ERR_FLOOR = 1e-4  # keeps finite-difference roundoff out of relative errors
 def concurrent_here() -> bool:
     """True where an untraced Section.map overlaps its lanes."""
     return parallel.worker_count() > 1 and parallel.find_openblas() is not None
+
+
+def rerun_tests(env: dict[str, str], *test_ids: str) -> subprocess.CompletedProcess:
+    """Run the named tests (pytest ids relative to the repository root) in
+    a new interpreter whose environment adds env, and return the finished
+    process, its output captured as text."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           *test_ids], cwd=root, env={**os.environ, **env, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=600)
 
 
 def rel_err(a: float, b: float, floor: float = REL_ERR_FLOOR) -> float:

@@ -24,7 +24,7 @@ from psae.corpus import (CorpusFormatError, format_corpus, format_sequence,
 from psae.pipeline import sequence_from_midi_path
 from psae.quantize import REST_ID, GridUnit, PitchSequence
 from psae.scoring import EvalReport, ManifestRow, evaluate_manifest
-from helpers import notes, resealed, smf_bytes
+from helpers import notes, rerun_tests, resealed, smf_bytes
 
 
 def write_midi_corpus(directory, count=4, tpq=480):
@@ -163,6 +163,26 @@ def test_corpus_ids_keep_their_whitespace_rules():
     assert seq.tokens.tolist() == [60, 61, 62]
 
 
+@pytest.mark.parametrize("bad", ["tab\tname", "lf\nx", "cr\rx"])
+def test_format_corpus_rejects_a_source_id_that_would_break_its_line(bad):
+    sequences = [PitchSequence(np.array([60, 61], dtype=np.int16), GridUnit.SIXTEENTH, sid)
+                 for sid in ("first", bad, "third\t")]
+    with pytest.raises(CorpusFormatError,
+                       match=rf"^{re.escape(repr(bad))}: source id holds a tab, LF or CR$"):
+        format_corpus(sequences)
+
+
+def test_corpus_lines_end_at_lf_alone(tmp_path):
+    # str.splitlines would also end a line at these; format_corpus writes LF only
+    ids = ["ff\x0cx", "fs\x1cx", "nel\x85x", "ls\u2028x", "ps\u2029x", "vt\x0bx"]
+    sequences = [PitchSequence(np.array([60, 128, 61], dtype=np.int16), GridUnit.SIXTEENTH, sid)
+                 for sid in ids]
+    path = tmp_path / "odd.tokens"
+    path.write_bytes(format_corpus(sequences).encode())
+    assert [(s.source_id, s.tokens.tolist()) for s in read_corpus_file(path)] == \
+        [(sid, [60, 128, 61]) for sid in ids]
+
+
 # ------------------------------------------------------------- preprocess
 
 def test_preprocess_writes_tokens_and_summary(tmp_path, capsys):
@@ -226,6 +246,37 @@ def test_preprocess_counts_a_file_name_that_is_not_utf8(tmp_path, capsys):
                                            "preprocess_summary.txt"]
     for name in ("clip000.tokens", "clip001.tokens"):
         assert (out_dir / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
+
+@pytest.mark.parametrize("stem, shown", [("tab\tname", r"tab\x09name"), ("lf\nx", r"lf\x0ax"),
+                                         ("cr\rx", r"cr\x0dx"), ("ls\u2028x", None)])
+def test_preprocess_counts_a_name_that_would_break_its_corpus_line(tmp_path, capsys,
+                                                                  stem, shown):
+    midi_dir = tmp_path / "midi"
+    write_midi_corpus(midi_dir, count=1)
+    assert main(["preprocess", "--in", str(midi_dir), "--out", str(tmp_path / "alone")]) == 0
+    try:
+        (midi_dir / f"{stem}.mid").write_bytes((midi_dir / "clip000.mid").read_bytes())
+    except OSError:
+        pytest.skip(f"this filesystem refuses the file name {stem!r}")
+    tok, aug = tmp_path / "tok", tmp_path / "aug"
+    capsys.readouterr()
+    assert main(["preprocess", "--in", str(midi_dir), "--out", str(tok)]) == 0
+    errors = 0 if shown is None else 1
+    assert capsys.readouterr().out.startswith(f"inputs=2\nwritten={2 - errors}\n"
+                                              f"errors={errors}\n")
+    summary = (tok / "preprocess_summary.txt").read_bytes().decode().split("\n")
+    assert len(summary) == 5 + errors + 1   # counts, grids, errors and the final LF
+    if shown is not None:
+        assert summary[-2] == (f"error file={shown}.mid message=CorpusFormatError: "
+                               f"{stem!r}: source id holds a tab, LF or CR")
+        assert sorted(os.listdir(tok)) == ["clip000.tokens", "preprocess_summary.txt"]
+    assert (tok / "clip000.tokens").read_bytes() == (tmp_path / "alone/clip000.tokens").read_bytes()
+    assert main(["augment", "--in", str(tok), "--out", str(aug), "--seed", "0"]) == 0
+    manifest = (aug / "augment_manifest.tsv").read_bytes().decode().split("\n")[1:-1]
+    sources = {"clip000"} if shown is not None else {"clip000", stem}
+    assert {line.split("\t")[1] for line in manifest} == sources
+    assert len(manifest) == 31 * len(sources)
 
 
 # ---------------------------------------------------------------- augment
@@ -476,6 +527,21 @@ def test_preprocess_output_bytes_pinned(tmp_path, monkeypatch):
         digests[workers] = digest.hexdigest()
         assert len(list(out.iterdir())) == 120 + 1   # the valid files and the summary
     assert digests == {1: PREPROCESS_OUTPUT_SHA256, 2: PREPROCESS_OUTPUT_SHA256}
+
+
+def test_integer_output_pins_hold_under_a_second_blas_kernel():
+    # Tokens, corpora and augment output involve no float arithmetic, so their
+    # bytes hold whatever kernel OpenBLAS picks. The float pins (TRAIN_SHA256,
+    # PROBABILITIES_SHA256) hold for one kernel only and are not rerun here.
+    cpuinfo = Path("/proc/cpuinfo")
+    if (parallel.find_openblas() is None or not cpuinfo.exists()
+            or "avx2" not in cpuinfo.read_text().split()):
+        pytest.skip("switching to OpenBLAS's Haswell kernel needs its library and AVX2")
+    done = rerun_tests({"OPENBLAS_CORETYPE": "Haswell"},
+                       "tests/test_cli.py::test_augment_output_bytes_pinned",
+                       "tests/test_cli.py::test_preprocess_output_bytes_pinned")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "\n2 passed in " in done.stdout
 
 
 # ------------------------------------------------------------------ train

@@ -276,6 +276,25 @@ def test_sequence_longer_than_positions_rejected(mini_params):
         note_probabilities(mini_params, seq)
 
 
+def test_clip_with_mask_or_pad_ids_is_rejected_as_a_training_row_is(mini_params):
+    # MINI's REST is 9, MASK 10 and PAD 11: a clip holds pitches and REST only
+    clip = mini_seq([1, 2, 3, 9, 10, 11, 4, 5], source_id="odd")
+    with pytest.raises(model.UnknownToken,
+                       match=r"^odd: raw token ids must lie in \[0, 9\], got \[1, 11\]$"):
+        note_probabilities(mini_params, clip)
+    with pytest.raises(model.UnknownToken, match=r"^sequence 0 \(odd\): raw token ids"):
+        model.train([clip], MINI, model.TrainHyper(epochs=1))
+    rng = np.random.default_rng(3)
+    clips = {"odd": clip, "h": mini_seq(rng.integers(0, 9, size=12), "h"),
+             "a": mini_seq(rng.integers(0, 9, size=12), "a")}
+    rows = [ManifestRow(path, label) for path, label in
+            (("h", "human"), ("odd", "human"), ("a", "ai"))]
+    report = evaluate_manifest(mini_params, rows, scorer=clips.__getitem__)
+    assert report.n_scored == 2 and report.n_skipped == 1
+    assert report.errors == [("odd", "UnknownToken: odd: raw token ids must lie in [0, 9], "
+                                     "got [1, 11]")]
+
+
 def test_scoring_is_deterministic(mini_params):
     rng = np.random.default_rng(4)
     seq = mini_seq(rng.integers(0, 9, size=30))
