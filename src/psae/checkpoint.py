@@ -106,29 +106,27 @@ def load_checkpoint_bytes(data: bytes) -> Checkpoint:
         missing = sorted(known - set(config_values))
         raise CheckpointFormatError(f"config fields missing: {missing}")
     config = ModelConfig(**config_values)
-    config.validate()
 
+    # Exactly the tensors the config fixes, in order: each name and shape is
+    # checked before its data is taken, so a wrong-sized tensor is never made.
     tensors: dict[str, nn.Tensor] = {}
-    while reader.pos < reader.limit:
+    for expected, shape in param_shapes(config).items():
         name = reader.name()
-        if name in tensors:
-            raise CheckpointFormatError(f"tensor {name!r} repeated")
+        if name != expected:
+            where = "repeated" if name in tensors else f"where {expected!r} belongs"
+            raise CheckpointFormatError(f"tensor {name!r} {where}")
         rank = reader.u32()
-        if rank > 8:
-            raise CheckpointFormatError(f"implausible tensor rank {rank}")
-        shape = struct.unpack(f"<{rank}I", reader.take(4 * rank))
-        count = math.prod(shape)   # cannot wrap, so take rejects a tensor past the end
-        buf = reader.take(4 * count)
-        data_arr = np.frombuffer(buf, dtype="<f4").reshape(shape).copy()
-        tensors[name] = nn.Tensor(data_arr, requires_grad=True)
-
-    expected = param_shapes(config)
-    if list(tensors) != list(expected):
-        raise CheckpointFormatError("tensor names do not match the config's parameter set")
-    for name, shape in expected.items():
-        if tensors[name].shape != shape:
-            raise CheckpointFormatError(
-                f"tensor {name!r} has shape {tensors[name].shape}, expected {shape}")
+        if rank != len(shape):
+            raise CheckpointFormatError(f"tensor {name!r} has rank {rank}, expected {len(shape)}")
+        stored = struct.unpack(f"<{rank}I", reader.take(4 * rank))
+        if stored != shape:
+            raise CheckpointFormatError(f"tensor {name!r} has shape {stored}, expected {shape}")
+        data_arr = np.frombuffer(reader.take(4 * math.prod(shape)), dtype="<f4")
+        tensors[name] = nn.Tensor(data_arr.reshape(shape).copy(), requires_grad=True)
+    if reader.pos < reader.limit:
+        name = reader.name()
+        where = "repeated" if name in tensors else "after the last tensor"
+        raise CheckpointFormatError(f"tensor {name!r} {where}")
     return Checkpoint(params=ModelParams(config, tensors), metadata={})
 
 

@@ -122,8 +122,8 @@ def load_run_config(path: str | Path | None) -> dict:
 # ------------------------------------------------------------- commands
 
 def _shown(name: str) -> str:
-    """A file name as the summaries write it, on one line: bytes that are
-    not UTF-8, and the characters a source id may not hold, as \\xNN."""
+    """A name or message as the summaries and reports write it, on one line:
+    bytes that are not UTF-8, and the characters a source id may not hold, as \\xNN."""
     return os.fsencode(name).decode("utf-8", "backslashreplace").translate(_ESCAPED)
 
 
@@ -219,10 +219,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     if run["train"]["epochs"] is None:
         raise ConfigError("epochs must be set via --epochs or the config file")
     config = ModelConfig(**run["model"])
-    config.validate()
     seed = next(s for s in (args.seed, run["seed"], 0) if s is not None)
     hyper = TrainHyper(seed=seed, **run["train"])
-    hyper.validate()
     sequences = read_corpus_dir(args.corpus)
     tokens = sum(len(s.tokens) for s in sequences)   # corpus rows hold no PAD
     metrics_lines: list[str] = []
@@ -280,14 +278,14 @@ def render_report_kv(report: EvalReport) -> str:
         for value, auc in values.items():
             n = sum(1 for row, _ in report.scores if row.groups.get(key) == value)
             auc_text = "n/a" if auc is None else f"{auc:.17g}"
-            lines.append(f"group key={key} value={value} auc={auc_text} n={n}")
+            lines.append(f"group key={key} value={_shown(value)} auc={auc_text} n={n}")
     for row, sc in report.scores:
-        lines.append(f"excerpt path={row.path} label={row.label} "
+        lines.append(f"excerpt path={_shown(row.path)} label={row.label} "
                      f"ai_probability={sc.ai_probability:.17g} "
                      f"human_probability={sc.human_probability:.17g} "
                      f"notes={sc.n_notes}")
     for path, message in report.errors:
-        lines.append(f"error path={path} message={message}")
+        lines.append(f"error path={_shown(path)} message={_shown(message)}")
     return "\n".join(lines) + "\n"
 
 
@@ -328,11 +326,11 @@ def render_report_text(report: EvalReport) -> str:
         for value, auc in values.items():
             n = sum(1 for row, _ in report.scores if row.groups.get(key) == value)
             auc_text = "n/a (single class)" if auc is None else f"{auc:.4f}"
-            lines.append(f"  {value}: {auc_text} (n={n})")
+            lines.append(f"  {_shown(value)}: {auc_text} (n={n})")
     if report.errors:
         lines.append("")
         lines.append("skipped files:")
-        lines.extend(f"  {path}: {message}" for path, message in report.errors)
+        lines.extend(f"  {_shown(path)}: {_shown(message)}" for path, message in report.errors)
     return "\n".join(lines) + "\n"
 
 
@@ -354,7 +352,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                   f"clips={report.n_scored} skipped={report.n_skipped} seconds={seconds:.3f} "
                   f"cpu_seconds={cpu_seconds:.3f} "
                   f"clips_per_s={report.n_scored / max(seconds, 1e-9):.2f} "
-                  f"workers={parallel.worker_count() if parallel.untraced() else 1}\n")
+                  f"workers={parallel.thread_count(parallel.find_openblas() is not None)}\n")
     print(text, end="")
     if report.errors:
         print(f"skipped {len(report.errors)} file(s)", file=sys.stderr)

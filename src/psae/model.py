@@ -104,6 +104,8 @@ class ModelConfig:
                 f"output_classes must be at most {PITCH_CLASSES}: REST is id {PITCH_CLASSES} "
                 f"in every corpus, got {self.output_classes}")
 
+    __post_init__ = validate   # a ModelConfig is valid once made
+
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Canonical tensor name -> shape map (also the serialization order)."""
@@ -160,7 +162,6 @@ class ModelParams:
 def init_model(config: ModelConfig, rng: np.random.Generator | int) -> ModelParams:
     """Fresh parameters: weights ~ Normal(0, 0.02), biases zero, norm gains
     one. Deterministic for a given seed."""
-    config.validate()
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     tensors: dict[str, nn.Tensor] = {}
@@ -416,6 +417,8 @@ class TrainHyper:
             raise InvalidConfig(f"mask_strategy must be one of {MASK_STRATEGIES}, "
                                 f"got {self.mask_strategy!r}")
 
+    __post_init__ = validate   # a TrainHyper is valid once made
+
 
 @dataclass
 class Checkpoint:
@@ -553,8 +556,7 @@ def train(corpus, config: ModelConfig, hyper: TrainHyper,
     averaged over masked positions) go to metadata["history"] and to the
     optional on_epoch callback.
     """
-    hyper.validate()
-    params = init_model(config, hyper.seed)   # validates config before the rows meet it
+    params = init_model(config, hyper.seed)
     rows = _token_rows(corpus, config)
     if not rows:
         raise nn.EmptyBatch("empty training corpus")

@@ -93,6 +93,12 @@ def worker_count() -> int:
     return max(1, min(MAX_WORKERS, cpus))
 
 
+def thread_count(blas_found: bool) -> int:
+    """Threads a Section.map overlaps its items on: worker_count(), or 1 traced or
+    without a known OpenBLAS."""
+    return worker_count() if blas_found and untraced() else 1
+
+
 class OpenBLAS:
     """Thread-count controls of one loaded OpenBLAS library."""
 
@@ -183,18 +189,17 @@ class Section:
         Two or more items always run with OpenBLAS on one thread, since its
         thread count can change its rounding: a map gives the same bits
         whether its items overlap or not. Item i runs on lane i mod lanes,
-        lanes = min(worker_count(), len(items)), and each lane runs its
+        lanes = min(thread_count(), len(items)), and each lane runs its
         items one after another, so a thread holds one item's work at a
         time. Lane 0 is the caller and the others are the section's worker
-        threads; they overlap only untraced, with two or more lanes and
-        OpenBLAS found, and otherwise every item runs on the caller. Each
-        lane runs in a copy of the caller's context, so numpy's errstate (a
+        threads; with one lane every item runs on the caller. Each lane
+        runs in a copy of the caller's context, so numpy's errstate (a
         context variable since numpy 2) carries over, and the first
         exception in lane order is raised after every lane has ended.
         """
         items = list(items)
-        lanes = min(worker_count(), len(items))
-        if len(items) < 2 or not (self._pin_blas() and lanes > 1 and untraced()):
+        lanes = min(thread_count(self._pin_blas()), len(items)) if len(items) > 1 else 1
+        if lanes < 2:
             return [fn(item) for item in items]
         if self._pool is None:
             self._pool = self._undo.enter_context(futures.ThreadPoolExecutor(MAX_WORKERS - 1))

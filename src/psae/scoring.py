@@ -89,16 +89,10 @@ def _scoreable_positions(tokens: np.ndarray, n_classes: int,
     pitch_at = np.nonzero(tokens < n_classes)[0]
     if not whole_notes:
         return [np.array([i]) for i in pitch_at]
-    groups: list[np.ndarray] = []
-    run: list[int] = []
-    for i in pitch_at:
-        if run and (i != run[-1] + 1 or tokens[i] != tokens[run[-1]]):
-            groups.append(np.array(run))
-            run = []
-        run.append(int(i))
-    if run:
-        groups.append(np.array(run))
-    return groups
+    if not pitch_at.size:
+        return []
+    breaks = (np.diff(pitch_at) != 1) | (np.diff(tokens[pitch_at]) != 0)
+    return np.split(pitch_at, np.nonzero(breaks)[0] + 1)
 
 
 def _chunk_size(config: ModelConfig, length: int, itemsize: int) -> int:

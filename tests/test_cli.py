@@ -544,6 +544,19 @@ def test_integer_output_pins_hold_under_a_second_blas_kernel():
     assert "\n2 passed in " in done.stdout
 
 
+def test_float64_permutation_check_holds_under_a_second_blas_kernel():
+    # The float32 permutation check fails under Haswell, whose sgemm rounds a
+    # row by its place in the product; float64 rows keep their bits there.
+    cpuinfo = Path("/proc/cpuinfo")
+    if (parallel.find_openblas() is None or not cpuinfo.exists()
+            or "avx2" not in cpuinfo.read_text().split()):
+        pytest.skip("switching to OpenBLAS's Haswell kernel needs its library and AVX2")
+    done = rerun_tests({"OPENBLAS_CORETYPE": "Haswell"},
+                       "tests/test_model.py::test_forward_batch_permutation_equivariance_float64")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "\n1 passed in " in done.stdout
+
+
 # ------------------------------------------------------------------ train
 
 def test_train_writes_checkpoint_and_metrics(tmp_path):
@@ -849,6 +862,41 @@ def test_eval_writes_timing_apart_from_report(tmp_path, monkeypatch):
     assert main(["eval", "--model", str(model_path), "--manifest", str(manifest),
                  "--out", str(out_dir)]) == 0
     assert (out_dir / "eval.timing").read_text().split()[-1] == "workers=1"
+
+
+def test_eval_timing_counts_one_worker_without_openblas(tmp_path, monkeypatch):
+    # without a known OpenBLAS, Section.map runs every item on the caller
+    model_path, midi_dir = run_small_pipeline(tmp_path)
+    manifest = tmp_path / "manifest.csv"
+    rows = ["path,label"] + [f"{p},{'human' if i % 2 else 'ai'}"
+                             for i, p in enumerate(sorted(midi_dir.glob("*.mid")))]
+    manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    monkeypatch.setattr(parallel, "find_openblas", lambda: None)
+    out_dir = tmp_path / "report"
+    assert main(["eval", "--model", str(model_path), "--manifest", str(manifest),
+                 "--out", str(out_dir)]) == 0
+    assert (out_dir / "eval.timing").read_text().split()[-1] == "workers=1"
+
+
+def test_eval_report_keeps_each_record_on_one_line(tmp_path):
+    model_path, midi_dir = run_small_pipeline(tmp_path)
+    human, ai = sorted(midi_dir.glob("*.mid"))[:2]
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(f'path,label,style\n{human},human,"x\ny"\n{ai},ai,"x\ny"\n'
+                        f'"missing\nx.mid",human,\n', encoding="utf-8")
+    out_dir = tmp_path / "report"
+    assert main(["eval", "--model", str(model_path), "--manifest", str(manifest),
+                 "--out", str(out_dir)]) == 0
+    kv = (out_dir / "report.kv").read_text(encoding="utf-8")
+    assert len(kv.splitlines()) == 3 + 1 + 2 + 1    # totals, one group, two excerpts, one error
+    parsed = parse_report_kv(kv)
+    assert list(parsed["groups"]["style"]) == ["x\\x0ay"]
+    (error,) = parsed["errors"]
+    assert error["path"] == f"{tmp_path}/missing\\x0ax.mid"
+    assert error["message"].startswith("FileNotFoundError: ")
+    text = (out_dir / "report.txt").read_text(encoding="utf-8").splitlines()
+    assert any(line.startswith("  x\\x0ay: ") and line.endswith("(n=2)") for line in text)
+    assert text[-1].startswith(f"  {tmp_path}/missing\\x0ax.mid: FileNotFoundError: ")
 
 
 def test_eval_missing_class_surfaces_single_class_error(tmp_path, capsys):
